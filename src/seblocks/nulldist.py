@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 __all__ = [
     "CapacityError",
@@ -211,15 +211,18 @@ class NormalNull:
     n: int
     statistic: str
 
+    def _z(self, t) -> float:
+        return (t - self.mean) / math.sqrt(self.variance)
+
     def p_lower(self, t) -> float:
         if self.variance == 0:
             return 1.0 if t >= self.mean else 0.0
-        return float(norm.cdf(t, loc=self.mean, scale=math.sqrt(self.variance)))
+        return float(ndtr(self._z(t)))
 
     def p_upper(self, t) -> float:
         if self.variance == 0:
             return 1.0 if t <= self.mean else 0.0
-        return float(norm.sf(t, loc=self.mean, scale=math.sqrt(self.variance)))
+        return float(ndtr(-self._z(t)))
 
 
 def enumerate_frequency_vectors(m: int, n: int, cap: int | None = None) -> FrequencyEnumeration:

@@ -358,28 +358,28 @@ def _as_points(data, p: int | None = None) -> np.ndarray:
 def _separate_duplicates(pts: np.ndarray, components: Iterable[int], rng) -> np.ndarray:
     """Nudge duplicated projected values apart, one ulp at a time.
 
-    Duplicates within a group are ordered by the seeded generator; each
-    one after the first is bumped to the next representable float above
-    its predecessor.  Deterministic for a given seed.
+    Duplicates within a group are ordered by the seeded generator; a
+    sweep over the sorted values then bumps each value that does not
+    exceed its predecessor to the next representable float above it, so
+    a bumped value that meets the next distinct value pushes that one up
+    too.  Deterministic for a given seed; raises ``TieError`` if the
+    values cannot be separated within the finite floats.
     """
     pts = pts.copy()
     for col in components:
-        values = pts[:, col]
-        order = np.argsort(values, kind="stable")
-        sorted_vals = values[order]
-        start = 0
-        while start < len(sorted_vals):
-            stop = start
-            while stop + 1 < len(sorted_vals) and sorted_vals[stop + 1] == sorted_vals[start]:
-                stop += 1
-            if stop > start:
-                group = order[start : stop + 1]
-                rng.shuffle(group)
-                current = values[group[0]]
-                for row in group[1:]:
-                    current = np.nextafter(current, np.inf)
-                    pts[row, col] = current
-            start = stop + 1
+        order = np.argsort(pts[:, col], kind="stable")
+        _, starts, sizes = np.unique(pts[order, col], return_index=True, return_counts=True)
+        for start, size in zip(starts, sizes):
+            if size > 1:
+                rng.shuffle(order[start : start + size])
+        swept = pts[order, col]
+        with np.errstate(over="ignore"):
+            for k in range(1, swept.size):
+                if swept[k] <= swept[k - 1]:
+                    swept[k] = np.nextafter(swept[k - 1], np.inf)
+        if not np.isfinite(swept[-1]) or (swept[1:] <= swept[:-1]).any():
+            raise TieError(f"cannot separate tied values on coordinate {col + 1}")
+        pts[order, col] = swept
     return pts
 
 

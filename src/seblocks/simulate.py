@@ -33,7 +33,6 @@ from .twosample import RejectionRule, build_rejection_rule, make_scores
 
 __all__ = [
     "NULL_CASE",
-    "SCENARIO_GRIDS",
     "ScenarioSpec",
     "TestConfig",
     "PowerEstimate",
@@ -49,16 +48,6 @@ __all__ = [
 ]
 
 NULL_CASE = 0
-
-# parameter grids the scenarios were published with (any positive c works)
-SCENARIO_GRIDS = {
-    1: (5.0, 10.0, 15.0),
-    2: (2.0, 2.25, 2.5),
-    3: (1.5, 2.0, 2.5),
-    4: (2.0, 4.0, 6.0),
-    5: (0.1, 0.2, 0.3),
-    6: (0.1, 0.2, 0.3),
-}
 
 
 def ar_covariance(p: int, rho: float = 0.35) -> np.ndarray:

@@ -17,8 +17,7 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.stats import norm
+from scipy.special import gammaln, log_ndtr, ndtri
 
 from .partition import BlockFrequencies, TieError, _as_points
 from . import nulldist
@@ -81,29 +80,49 @@ class ScoreVector:
         return self.scores.size
 
 
+# Terry-Hoeffding grid: outside [-10, 10] the order-statistic densities
+# of samples up to about 10^6 are below 1e-16, and at most 64 rows of
+# the integrand are held at once
+_TH_HALF_WIDTH = 10.0
+_TH_BLOCK_ROWS = 64
+
+
 @lru_cache(maxsize=32)
 def expected_normal_order_scores(size: int) -> tuple[float, ...]:
     """Expected values of the standard normal order statistics of a
-    sample of ``size``, by adaptive quadrature in log space (accurate to
-    about 1e-10, well past the tabled precision these scores replace)."""
+    sample of ``size`` (Terry-Hoeffding scores).
+
+    The i-th score is the integral of x times the density of the i-th
+    order statistic, exp(c_i + (i-1) log Phi(x) + (size-i) log Phi(-x)
+    + log phi(x)), computed in log space by one trapezoid rule over a
+    fixed grid on [-10, 10] (cf. Royston 1982, AS 177).  The integrand
+    is smooth and decays fast, so the trapezoid rule converges
+    geometrically once the step resolves the narrowest density, whose
+    width shrinks like 1/sqrt(size); the step is therefore
+    min(0.01, 1/sqrt(size)).  The scores agree with adaptive quadrature
+    (the test suite's oracle) to 1e-10 for sizes up to 200, and with a
+    30-digit reference to 2e-11 at size 2*10^4 and 4e-10 at size 10^5.
+    At large sizes the error is a relative 1e-10 or less, set by the
+    rounding of the gammaln terms (each near size * log(size)) in c_i.
+    """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-
-    def one(i: int) -> float:
-        c = math.lgamma(size + 1) - math.lgamma(i) - math.lgamma(size - i + 1)
-
-        def integrand(x: float) -> float:
-            return x * math.exp(
-                c + (i - 1) * norm.logcdf(x) + (size - i) * norm.logsf(x) + norm.logpdf(x)
-            )
-
-        value, _ = integrate.quad(integrand, -np.inf, np.inf, epsabs=1e-11, limit=200)
-        return value
-
-    half = [one(i) for i in range(1, size // 2 + 1)]
+    steps = math.ceil(2 * _TH_HALF_WIDTH / min(0.01, 1 / math.sqrt(size)))
+    x = np.linspace(-_TH_HALF_WIDTH, _TH_HALF_WIDTH, steps + 1)
+    weights = np.full(x.size, 2 * _TH_HALF_WIDTH / steps)
+    weights[[0, -1]] /= 2
+    weighted_x = weights * x
+    log_cdf = log_ndtr(x)
+    log_sf = log_ndtr(-x)
+    log_pdf = -0.5 * x * x - 0.5 * math.log(2 * math.pi)
+    half = np.empty(size // 2)
+    for start in range(0, half.size, _TH_BLOCK_ROWS):
+        i = np.arange(start + 1, min(start + _TH_BLOCK_ROWS, half.size) + 1, dtype=float)[:, None]
+        c = gammaln(size + 1) - gammaln(i) - gammaln(size - i + 1)
+        log_density = c + (i - 1) * log_cdf + (size - i) * log_sf + log_pdf
+        half[start : start + i.shape[0]] = np.exp(log_density) @ weighted_x
     # antisymmetry pins the upper half and zeroes the middle score
-    full = half + ([0.0] if size % 2 else []) + [-v for v in reversed(half)]
-    return tuple(full)
+    return tuple(np.concatenate([half, np.zeros(size % 2), -half[::-1]]).tolist())
 
 
 def _siegel_tukey_scores(size: int) -> np.ndarray:
@@ -148,13 +167,13 @@ def make_scores(family: ScoreFamily | str, m: int, n: int) -> ScoreVector:
     if family is ScoreFamily.WILCOXON:
         a = ranks
     elif family is ScoreFamily.VAN_DER_WAERDEN:
-        a = norm.ppf(ranks / (size + 1))
+        a = ndtri(ranks / (size + 1))
     elif family is ScoreFamily.TERRY_HOEFFDING:
         a = np.array(expected_normal_order_scores(size))
     elif family is ScoreFamily.MOOD:
         a = (ranks - (size + 1) / 2) ** 2
     elif family is ScoreFamily.KLOTZ:
-        a = norm.ppf(ranks / (size + 1)) ** 2
+        a = ndtri(ranks / (size + 1)) ** 2
     elif family is ScoreFamily.SIEGEL_TUKEY:
         a = _siegel_tukey_scores(size)
     else:

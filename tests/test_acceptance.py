@@ -217,6 +217,7 @@ def _size_sweep(p, seed, include_runs):
     return run_power_study(spec, tests, 0.05, 10_000, seed, workers=4)
 
 
+@pytest.mark.slow
 def test_05_randomized_tests_hold_exact_size_in_any_dimension():
     """Under identical populations every shipped test rejects at the
     nominal 5% rate (within 3 binomial standard errors of 10,000
@@ -237,6 +238,7 @@ def test_05_randomized_tests_hold_exact_size_in_any_dimension():
     )
 
 
+@pytest.mark.slow
 def test_06_power_spot_checks_match_published_tables():
     """Five published power values at m=n=200, p=3, alpha=0.05,
     re-estimated with 1,000 replicates."""
@@ -344,6 +346,7 @@ def test_07_monotone_rescaling_leaves_all_decisions_identical():
     print("\nPASS 07 invariance: 100 random monotone rescalings, all outputs bit-identical")
 
 
+@pytest.mark.slow
 def test_08_frequency_vectors_are_uniform_under_the_null():
     """With both samples from one continuous distribution, all 20
     frequency vectors at m=n=3 appear with probability 1/20 (within 4

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seblocks.partition import (
     BlockFrequencies,
@@ -18,6 +20,7 @@ from seblocks.partition import (
     make_stairstep_plan,
     make_univariate_plan,
 )
+from seblocks.partition import _separate_duplicates
 
 # the bivariate illustration dataset and its two comparison samples
 Y_TOY = [
@@ -167,6 +170,20 @@ class TestFitPartition:
         assert a.thresholds == b.thresholds
         assert len(set(a.thresholds)) == 4
 
+    def test_tie_perturbation_pushes_past_an_ulp_neighbour(self):
+        # bumping the second 1.0 by one ulp meets the third value, which
+        # must move up too rather than leave a tie
+        plan = make_univariate_plan(3)
+        y = Sample([1.0, 1.0, np.nextafter(1.0, 2.0)])
+        for seed in range(10):
+            th = fit_partition(plan, y, on_ties="perturb", seed=seed).thresholds
+            assert th == (1.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0))
+
+    def test_tie_perturbation_raises_when_values_cannot_separate(self):
+        top = np.finfo(float).max
+        with pytest.raises(TieError):
+            fit_partition(make_univariate_plan(2), Sample([top, top]), on_ties="perturb")
+
     def test_ignores_ties_on_uncut_components(self):
         plan = PartitionPlan(2, 3, tuple(CutRule(1, Direction.MIN) for _ in range(3)))
         y = Sample([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
@@ -263,3 +280,59 @@ class TestPartitionProperties:
 
         warped = block_frequencies(fit_partition(plan, warp(y)), warp(x)).counts
         assert warped == base
+
+
+def _bump_groups(values, seed):
+    """The earlier tie perturbation: shuffle each group of equal values
+    and bump every member after the first one ulp above its predecessor,
+    with no look at the values that follow the group."""
+    rng = np.random.default_rng(seed)
+    out = values.copy()
+    order = np.argsort(values, kind="stable")
+    sorted_vals = values[order]
+    start = 0
+    while start < len(sorted_vals):
+        stop = start
+        while stop + 1 < len(sorted_vals) and sorted_vals[stop + 1] == sorted_vals[start]:
+            stop += 1
+        if stop > start:
+            group = order[start : stop + 1]
+            rng.shuffle(group)
+            current = values[group[0]]
+            for row in group[1:]:
+                current = np.nextafter(current, np.inf)
+                out[row] = current
+        start = stop + 1
+    return out
+
+
+def _ulps_above(base: float, k: int) -> float:
+    for _ in range(k):
+        base = np.nextafter(base, np.inf)
+    return base
+
+
+# columns built from a few bases plus 0-3 ulps, so duplicates and
+# ulp-adjacent neighbours are common
+tie_prone_columns = st.lists(
+    st.builds(_ulps_above, st.sampled_from([-2.5, -0.0, 0.0, 1.0, 1e300]), st.integers(0, 3)),
+    min_size=2,
+    max_size=12,
+).map(np.array)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_prone_columns, st.integers(0, 2**32 - 1))
+def test_tie_perturbation_separates_every_value_in_order(column, seed):
+    out = _separate_duplicates(column[:, None], [0], np.random.default_rng(seed))[:, 0]
+    assert np.unique(out).size == column.size
+    assert (out >= column).all()
+    # distinct values keep their order
+    lower = column[:, None] < column[None, :]
+    assert (out[:, None] < out[None, :])[lower].all()
+    # inputs the group-by-group bump already separated keep that output
+    before = _bump_groups(column, seed)
+    if np.unique(before).size == column.size:
+        assert out.tobytes() == before.tobytes()
+    again = _separate_duplicates(column[:, None], [0], np.random.default_rng(seed))[:, 0]
+    assert out.tobytes() == again.tobytes()

@@ -1,11 +1,19 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy.stats import norm
 
+import seblocks
 from seblocks.nulldist import (
     EmpiricalNull,
+    NormalNull,
     Pmf,
     empty_block_pmf,
     enumerate_frequency_vectors,
@@ -78,6 +86,97 @@ class TestScores:
     def test_custom_requires_explicit_scores(self):
         with pytest.raises(ValueError):
             make_scores(ScoreFamily.CUSTOM, 3, 3)
+
+
+def quadrature_score(size: int, i: int) -> float:
+    """Oracle: the i-th expected normal order statistic of a sample of
+    ``size`` by adaptive quadrature over the real line, in log space."""
+    c = math.lgamma(size + 1) - math.lgamma(i) - math.lgamma(size - i + 1)
+
+    def integrand(x: float) -> float:
+        return x * math.exp(
+            c + (i - 1) * norm.logcdf(x) + (size - i) * norm.logsf(x) + norm.logpdf(x)
+        )
+
+    value, _ = integrate.quad(integrand, -np.inf, np.inf, epsabs=1e-11, limit=200)
+    return value
+
+
+def mpmath_score(size: int, i: int) -> float:
+    """30-digit reference for the i-th expected normal order statistic,
+    integrated piecewise around the approximate mode."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        c = mp.loggamma(size + 1) - mp.loggamma(i) - mp.loggamma(size - i + 1)
+
+        def integrand(x):
+            return x * mp.exp(
+                c + (i - 1) * mp.log(mp.ncdf(x)) + (size - i) * mp.log(mp.ncdf(-x))
+                - x * x / 2 - mp.log(2 * mp.pi) / 2
+            )
+
+        mode = float(norm.ppf((i - 0.375) / (size + 0.25)))
+        points = [-12.0] + [mode + 0.05 * k for k in range(-20, 21)] + [12.0]
+        return float(mp.quad(integrand, points))
+
+
+class TestTerryHoeffdingGrid:
+    @pytest.mark.parametrize("size", [2, 3, 10, 57, 100, 200])
+    def test_matches_quadrature_oracle(self, size):
+        grid = expected_normal_order_scores(size)
+        oracle = [quadrature_score(size, i) for i in range(1, size // 2 + 1)]
+        assert np.abs(np.array(grid[: size // 2]) - oracle).max() <= 1e-10
+
+    def test_large_sample_entries(self):
+        size = 20_000
+        grid = expected_normal_order_scores(size)
+        for i in (1, 5_000, 10_000):
+            assert grid[i - 1] == pytest.approx(quadrature_score(size, i), abs=1e-10)
+        # adaptive quadrature over the real line misses the narrow
+        # density at i = 100 (it returns about 0), so these entries are
+        # checked against the 30-digit reference instead
+        for i in (1, 2, 100):
+            assert grid[i - 1] == pytest.approx(mpmath_score(size, i), abs=1e-10)
+
+    def test_antisymmetric_with_zero_middle(self):
+        a = expected_normal_order_scores(7)
+        assert a == tuple(-v for v in reversed(a))
+        assert a[3] == 0.0
+        assert expected_normal_order_scores(1) == (0.0,)
+
+    def test_rejects_empty_sample(self):
+        with pytest.raises(ValueError):
+            expected_normal_order_scores(0)
+
+
+class TestNormalFormsWithoutScipyStats:
+    @pytest.mark.parametrize("m,n", [(3, 2), (8, 6), (100, 101)])
+    def test_van_der_waerden_and_klotz_bit_equal(self, m, n):
+        q = np.arange(1, m + n + 1) / (m + n + 1)
+        vdw = make_scores("van_der_waerden", m, n).scores
+        assert vdw.tobytes() == norm.ppf(q).tobytes()
+        klotz = make_scores("klotz", m, n).scores
+        assert klotz.tobytes() == (norm.ppf(q) ** 2).tobytes()
+
+    def test_normal_null_pvalues_bit_equal(self):
+        null = NormalNull(mean=52.5, variance=122.5, m=8, n=6, statistic="linear_rank")
+        scale = math.sqrt(null.variance)
+        for t in (0, 17, 40, 52.5, 53, 61.25, 88, 200, -1e3):
+            assert null.p_lower(t) == float(norm.cdf(t, loc=null.mean, scale=scale))
+            assert null.p_upper(t) == float(norm.sf(t, loc=null.mean, scale=scale))
+
+    def test_cli_import_loads_no_scipy_stats_or_integrate(self):
+        src = str(Path(seblocks.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = (
+            "import sys, seblocks.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestIndicatorVector:
