@@ -1,7 +1,7 @@
 """Exactly distribution-free two-sample tests via statistically
 equivalent blocks: multivariate block partitioning, exact combinatorial
-null distributions, block-based rank / precedence / empty-block / runs
-tests, and a reproducible Monte Carlo power harness."""
+null distributions, tests of block-frequency statistics, and a
+reproducible Monte Carlo power harness."""
 
 from .partition import (
     BlockFrequencies,
@@ -47,6 +47,7 @@ from .twosample import (
     ScoreVector,
     TestResult,
     build_indicator_vector,
+    block_test,
     build_rejection_rule,
     dixon_c2_test,
     empty_block_test,

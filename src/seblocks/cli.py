@@ -22,7 +22,6 @@ import numpy as np
 from . import nulldist, simulate, twosample
 from .nulldist import CapacityError, EmpiricalNull, NormalNull, Pmf
 from .partition import (
-    BlockFrequencies,
     Sample,
     TieError,
     block_frequencies,
@@ -30,17 +29,9 @@ from .partition import (
     make_plan,
 )
 from .simulate import ScenarioSpec, TestConfig
-from .twosample import make_scores
+from .twosample import make_scores  # noqa: F401  (a module attribute perfbench/tracer.py wraps)
 
-_DIST_STATISTICS = (
-    "precedence",
-    "empty_block",
-    "maximal_block",
-    "runs",
-    "interior_exterior",
-    "dixon_c2",
-    "linear_rank",
-)
+_DIST_STATISTICS = tuple(twosample.STATISTICS)
 
 
 class CliError(Exception):
@@ -78,12 +69,8 @@ def read_sample_csv(path: str) -> Sample:
         start = 1
     except CliError:
         start = 1  # header row
-    width = None
     for i, row in enumerate(raw[start:], start=start + 1):
-        values = parse(row, i)
-        if width is None:
-            width = len(values)
-        rows.append(values)
+        rows.append(parse(row, i))
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise CliError(f"{path}: rows have inconsistent column counts {sorted(widths)}")
@@ -152,19 +139,16 @@ def cmd_test(args) -> int:
             file=sys.stderr,
         )
 
-    test = simulate._TEST_ALIASES.get(args.test.lower(), args.test.lower())
-    if test not in simulate.KNOWN_TESTS:
-        raise CliError(f"unknown test {args.test!r}; known: {simulate.KNOWN_TESTS}")
+    test = twosample.canonical_test(args.test)
 
     meta = {"m": m, "n": n, "p": x.p, "seed": args.seed}
     if test == "runs":
         if x.p != 1:
             raise CliError("the runs test needs single-column data")
         try:
-            result = twosample.runs_test(tested, partitioner, args.alternative or "lower")
+            result = twosample.runs_test(tested, partitioner, args.alternative)
         except TieError as exc:
             raise CliError(f"tie-error: {exc}") from exc
-        result.metadata.update(meta)
     else:
         try:
             plan = make_plan(args.plan, x.p, n)
@@ -187,35 +171,13 @@ def cmd_test(args) -> int:
                 file=sys.stderr,
             )
         meta["plan"] = plan.label.value
-        alt = args.alternative
-        method = _resolve_method(args.method, m, n)
-        try:
-            if test in simulate.SCORE_TESTS:
-                family = args.scores or test
-                scores = make_scores(family, m, n)
-                result = twosample.linear_rank_test(
-                    freqs,
-                    scores,
-                    alt or "two-sided",
-                    method,
-                    n_draws=args.draws,
-                    seed=args.seed,
-                )
-            elif test == "precedence":
-                result = twosample.precedence_test(freqs, args.j, alt or "two-sided")
-            elif test == "maximal_block":
-                result = twosample.maximal_block_test(freqs, args.j, alt or "upper")
-            elif test == "empty_block":
-                result = twosample.empty_block_test(freqs, alt or "upper")
-            else:
-                result = twosample.dixon_c2_test(
-                    freqs, method, alt or "upper", n_draws=args.draws, seed=args.seed
-                )
-        except CapacityError as exc:
-            raise CliError(str(exc)) from exc
-        result.metadata.update(meta)
+        result = twosample.block_test(
+            test, freqs, args.alternative, _resolve_method(args.method, m, n),
+            j=args.j, scores=args.scores or None, n_draws=args.draws, seed=args.seed,
+        )
 
     payload = result.to_json_dict()
+    payload.update(meta)
     payload.update(_null_summary(result.null_reference))
     exit_code = 0
     if args.decide:
@@ -228,98 +190,22 @@ def cmd_test(args) -> int:
     return exit_code
 
 
-def _dist_null(args):
-    name = args.statistic
-    m, n = args.m, args.n
-    if name == "precedence":
-        j = args.j if args.j is not None else twosample.default_precedence_j(n)
-        return nulldist.precedence_pmf(m, n, j), j
-    if name == "empty_block":
-        return nulldist.empty_block_pmf(m, n), None
-    if name == "maximal_block":
-        j = args.j if args.j is not None else twosample.default_maximal_block_j(n)
-        return nulldist.maximal_block_pmf(m, n, j), j
-    if name == "runs":
-        return nulldist.runs_pmf(m, n), None
-    if name == "interior_exterior":
-        return nulldist.interior_exterior_empty_pmf(m, n), None
-    if name == "dixon_c2":
-        return (
-            nulldist.dixon_c2_null(
-                m, n, _resolve_method(args.method, m, n), n_draws=args.draws, seed=args.seed
-            ),
-            None,
-        )
-    if name == "linear_rank":
-        scores = make_scores(args.scores or "wilcoxon", m, n)
-        return (
-            nulldist.linear_rank_null(
-                m,
-                n,
-                scores.scores,
-                _resolve_method(args.method, m, n),
-                n_draws=args.draws,
-                seed=args.seed,
-            ),
-            None,
-        )
-    raise CliError(f"unknown statistic {name!r}; known: {_DIST_STATISTICS}")
-
-
-def _oracle_statistics(name: str, m: int, n: int, j, scores) -> dict:
-    """Brute-force distribution over all equally likely frequency
-    vectors, for cross-checking the closed forms."""
-    enum = nulldist.enumerate_frequency_vectors(m, n)
-    tally: dict = {}
-    for vec in enum.vectors:
-        if name == "precedence":
-            key = sum(vec[:j])
-        elif name == "empty_block":
-            key = sum(1 for c in vec if c == 0)
-        elif name == "maximal_block":
-            key = max(vec[:j])
-        elif name == "runs":
-            z = twosample.build_indicator_vector(BlockFrequencies(vec, m, n)).z
-            key = int(1 + (z[1:] != z[:-1]).sum())
-        elif name == "interior_exterior":
-            key = (
-                sum(1 for c in vec[1:-1] if c == 0),
-                int(vec[0] == 0) + int(vec[-1] == 0),
-            )
-        elif name == "dixon_c2":
-            key = nulldist.dixon_statistic(vec, m, n)
-        elif name == "linear_rank":
-            zero_pos = np.cumsum(np.asarray(vec[:-1])) + np.arange(n)
-            key = float(scores.sum() - scores[zero_pos].sum())
-            if np.array_equal(scores, np.arange(1.0, m + n + 1)):
-                key = int(round(key))
-        else:
-            raise CliError(f"--oracle is not available for {name!r}")
-        tally[key] = tally.get(key, 0) + 1
-    return {k: Fraction(v, enum.count) for k, v in tally.items()}
-
-
-def _check_oracle(args, null, j) -> int:
+def _check_oracle(args, entry, params, null) -> int:
+    """Cross-check an exact null against the brute-force law of the
+    table statistic over all equally likely frequency vectors."""
     if not isinstance(null, (Pmf, nulldist.JointPmf)):
         raise CliError("--oracle needs an exact pmf; use --method exact")
-    scores = None
-    if args.statistic == "linear_rank":
-        scores = make_scores(args.scores or "wilcoxon", args.m, args.n).scores
-    expected = _oracle_statistics(args.statistic, args.m, args.n, j, scores)
+    m, n = args.m, args.n
+    tally = nulldist._tally_arrangements(lambda c: entry.statistic(c, m, n, params), m, n)
+    total = math.comb(m + n, n)
+    expected = {entry.value(v, m, n, params, True): Fraction(k, total) for v, k in tally.items()}
     if isinstance(null, nulldist.JointPmf):
-        actual = {atom: pr for atom, pr in null.atoms}
+        actual = dict(null.atoms)
     else:
-        actual = {v: pr for v, pr in zip(null.support, null.probs)}
-    if isinstance(next(iter(actual)), float):
-        ok = len(actual) == len(expected) and all(
-            math.isclose(a, e, rel_tol=1e-12, abs_tol=1e-12) and actual[a] == expected[e]
-            for a, e in zip(sorted(actual), sorted(expected))
-        )
-    else:
-        ok = actual == expected
-    if not ok:
+        actual = dict(zip(null.support, null.probs))
+    # the same statistic labels both sides, so even float atoms match exactly
+    if actual != expected:
         raise CliError("oracle cross-check FAILED: closed form disagrees with enumeration")
-    total = math.comb(args.m + args.n, args.n)
     print(f"oracle cross-check passed over {total} frequency vectors", file=sys.stderr)
     return 0
 
@@ -327,14 +213,14 @@ def _check_oracle(args, null, j) -> int:
 def cmd_dist(args) -> int:
     if args.m < 1 or args.n < 1:
         raise CliError("m and n must be >= 1")
-    try:
-        null, j = _dist_null(args)
-    except CapacityError as exc:
-        raise CliError(str(exc)) from exc
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    entry = twosample.STATISTICS.get(args.statistic)
+    if entry is None:
+        raise CliError(f"unknown statistic {args.statistic!r}; known: {_DIST_STATISTICS}")
+    params = entry.params(args.m, args.n, args.j, args.scores or None)
+    method = _resolve_method(args.method, args.m, args.n)
+    null = entry.null(args.m, args.n, params, method=method, n_draws=args.draws, seed=args.seed)
     if args.oracle:
-        _check_oracle(args, null, j)
+        _check_oracle(args, entry, params, null)
 
     if isinstance(null, EmpiricalNull):
         null = null.to_pmf()
@@ -513,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("test", help="run a two-sample test on two CSV samples")
     t.add_argument("--x", required=True, help="comparison sample CSV (one row per observation)")
     t.add_argument("--y", required=True, help="reference sample CSV (partitions by default)")
-    t.add_argument("--test", default="wilcoxon", help=f"one of {simulate.KNOWN_TESTS}")
+    t.add_argument("--test", default="wilcoxon", help=f"one of {twosample.KNOWN_TESTS}")
     t.add_argument("--plan", default="spiral", choices=["spiral", "stairstep", "univariate"])
     t.add_argument("--scores", default=None, help="score family override for rank tests")
     t.add_argument("--j", type=int, default=None, help="block count for precedence/maximal tests")

@@ -225,30 +225,88 @@ class NormalNull:
         return float(ndtr(-self._z(t)))
 
 
+# matrix cells per chunk of arrangements: 512 KB of keys, small enough
+# to stay in cache (on a 2-core x86 machine, chunks of 4M cells made a
+# Monte Carlo null at m = n = 50 about 30% slower); rows are drawn and
+# sorted one by one, so the chunk size changes no value
+_CHUNK_CELLS = 1 << 16
+
+
+def _counts_from_bars(bars: np.ndarray, size: int) -> np.ndarray:
+    """Frequency vectors of arrangements given by the ascending
+    positions of their reference points (rows of ``bars``): the gaps
+    between successive positions, with -1 and ``size`` as end posts."""
+    return np.diff(bars, axis=1, prepend=-1, append=size) - 1
+
+
+def _reference_positions(counts: np.ndarray) -> np.ndarray:
+    """0-based positions of the reference points in the pooled
+    arrangement of each frequency vector (last axis): cumulative count
+    through block k, plus k - 1."""
+    n = counts.shape[-1] - 1
+    return np.cumsum(counts[..., :n], axis=-1) + np.arange(n)
+
+
+def _arrangement_chunks(m: int, n: int, cap: int | None = None):
+    """Every frequency vector, in lexicographic order of the reference
+    positions, as (rows, n+1) count matrices of bounded size."""
+    _validate_sizes(m, n)
+    total, limit = math.comb(m + n, n), enumeration_cap(cap)
+    if total > limit:
+        raise CapacityError(
+            f"C({m + n}, {n}) = {total} arrangements exceed the enumeration cap {limit}; "
+            "raise the cap or use method='monte_carlo'"
+        )
+    rows = max(1, _CHUNK_CELLS // (m + n))
+    bars = itertools.combinations(range(m + n), n)
+    while True:
+        flat = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(bars, rows)), dtype=np.intp
+        )
+        if not flat.size:
+            return
+        yield _counts_from_bars(flat.reshape(-1, n), m + n)
+
+
+def _sample_arrangements(m: int, n: int, n_draws: int, rng: np.random.Generator):
+    """Seeded uniformly random arrangements as (rows, n+1) count
+    matrices, ``n_draws`` rows in all: the positions of the n smallest
+    of m + n uniform keys are a uniform n-subset, the reference
+    positions of a random arrangement."""
+    chunk = max(1, min(n_draws, _CHUNK_CELLS // (m + n)))
+    for done in range(0, n_draws, chunk):
+        keys = rng.random((min(chunk, n_draws - done), m + n))
+        bars = np.sort(np.argpartition(keys, n - 1, axis=1)[:, :n], axis=1)
+        # no chunk is held while the next one is drawn: that bounds the memory
+        del keys
+        yield _counts_from_bars(bars, m + n)
+        del bars
+
+
+def _tally_arrangements(statistic, m: int, n: int, cap: int | None = None) -> dict:
+    """Number of arrangements per value of ``statistic``, a map from an
+    (R, n+1) count matrix to R values (or R rows of values, tallied as
+    tuples), over all C(m+n, n) equally likely frequency vectors."""
+    tally: dict = {}
+    for counts in _arrangement_chunks(m, n, cap):
+        values = statistic(counts)
+        values, freq = np.unique(values, axis=0 if values.ndim > 1 else None, return_counts=True)
+        for v, k in zip(values.tolist(), freq.tolist()):
+            v = tuple(v) if isinstance(v, list) else v
+            tally[v] = tally.get(v, 0) + k
+    return tally
+
+
 def enumerate_frequency_vectors(m: int, n: int, cap: int | None = None) -> FrequencyEnumeration:
     """List every frequency vector in lexicographic order.
 
     The i-th gap between successive bar positions in a stars-and-bars
     layout of m stars and n bars gives r_i.
     """
-    _validate_sizes(m, n)
-    total = math.comb(m + n, n)
-    limit = enumeration_cap(cap)
-    if total > limit:
-        raise CapacityError(
-            f"C({m + n}, {n}) = {total} vectors exceeds the enumeration cap {limit}; "
-            "raise the cap or use a Monte Carlo method"
-        )
-    vectors = []
-    for bars in itertools.combinations(range(m + n), n):
-        prev = -1
-        vec = []
-        for b in bars:
-            vec.append(b - prev - 1)
-            prev = b
-        vec.append(m + n - 1 - prev)
-        vectors.append(tuple(vec))
-    return FrequencyEnumeration(m, n, tuple(vectors))
+    vectors = tuple(
+        tuple(row) for counts in _arrangement_chunks(m, n, cap) for row in counts.tolist()
+    )
+    return FrequencyEnumeration(m, n, vectors)
 
 
 def precedence_pmf(m: int, n: int, j: int) -> Pmf:
@@ -414,24 +472,31 @@ def _wilcoxon_rank_sum_pmf(m: int, n: int) -> Pmf:
     return Pmf(support, probs, m, n, "wilcoxon_rank_sum")
 
 
-def _mc_arrangement_stats(
-    scores: np.ndarray, m: int, n: int, n_draws: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Statistics of seeded random arrangements: total score minus the
-    scores at the n reference positions of each draw."""
-    total = scores.sum()
-    out = np.empty(n_draws)
-    chunk = max(1, min(n_draws, 4_000_000 // (m + n)))
-    done = 0
-    while done < n_draws:
-        size = min(chunk, n_draws - done)
-        keys = rng.random((size, m + n))
-        # sorted so the per-draw summation order matches the observed
-        # statistic's, keeping atom equality exact
-        zero_pos = np.sort(np.argpartition(keys, n - 1, axis=1)[:, :n], axis=1)
-        out[done : done + size] = total - scores[zero_pos].sum(axis=1)
-        done += size
-    return out
+def _tallied_pmf(tally: dict, m: int, n: int, statistic: str, atom=lambda v: v) -> Pmf:
+    total = math.comb(m + n, n)
+    support = sorted(tally)
+    probs = tuple(Fraction(tally[v], total) for v in support)
+    return Pmf(tuple(atom(v) for v in support), probs, m, n, statistic)
+
+
+def _sampled_null(statistic, m: int, n: int, n_draws: int, seed, name: str) -> EmpiricalNull:
+    """Empirical null of ``statistic`` over ``n_draws`` seeded random
+    arrangements."""
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
+    chunks = _sample_arrangements(m, n, n_draws, np.random.default_rng(seed))
+    # map() lets go of each chunk before it draws the next
+    values = np.sort(np.concatenate(list(map(statistic, chunks))))
+    values.flags.writeable = False
+    return EmpiricalNull(values, m, n, name, seed, n_draws)
+
+
+def _rank_sum_rows(counts: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Linear rank statistic of each frequency vector: the total score
+    minus the scores at its reference positions.  Observed statistics
+    and both nulls sum in this one order, so a float statistic equals
+    its null atom bit for bit."""
+    return scores.sum() - scores[_reference_positions(counts)].sum(axis=-1)
 
 
 def linear_rank_null(
@@ -465,29 +530,11 @@ def linear_rank_null(
     if method == "exact":
         if np.array_equal(a, np.arange(1, m + n + 1, dtype=float)):
             return _wilcoxon_rank_sum_pmf(m, n)
-        total_arr = math.comb(m + n, n)
-        limit = enumeration_cap(cap)
-        if total_arr > limit:
-            raise CapacityError(
-                f"exact null needs C({m + n}, {n}) = {total_arr} arrangements, over the "
-                f"cap {limit}; use method='monte_carlo'"
-            )
-        total = a.sum()
-        tally: dict[float, int] = {}
-        for zero_pos in itertools.combinations(range(m + n), n):
-            t = float(total - a[list(zero_pos)].sum())
-            tally[t] = tally.get(t, 0) + 1
-        support = tuple(sorted(tally))
-        probs = tuple(Fraction(tally[v], total_arr) for v in support)
-        return Pmf(support, probs, m, n, "linear_rank")
+        tally = _tally_arrangements(lambda c: _rank_sum_rows(c, a), m, n, cap)
+        return _tallied_pmf(tally, m, n, "linear_rank")
 
     if method == "monte_carlo":
-        if n_draws < 1:
-            raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-        rng = np.random.default_rng(seed)
-        values = np.sort(_mc_arrangement_stats(a, m, n, n_draws, rng))
-        values.flags.writeable = False
-        return EmpiricalNull(values, m, n, "linear_rank", seed, n_draws)
+        return _sampled_null(lambda c: _rank_sum_rows(c, a), m, n, n_draws, seed, "linear_rank")
 
     if method == "normal":
         total = float(a.sum())
@@ -500,11 +547,17 @@ def linear_rank_null(
     raise ValueError(f"method must be exact, monte_carlo, or normal, got {method!r}")
 
 
+def _dixon_rows(counts: np.ndarray, m: int, n: int) -> np.ndarray:
+    """(m (n+1))^2 times the Dixon statistic of each frequency vector
+    (last axis): sum_i (m - (n+1) R_i)^2, an integer."""
+    return ((m - (n + 1) * counts) ** 2).sum(axis=-1)
+
+
 def dixon_statistic(counts: Sequence[int], m: int, n: int) -> Fraction:
     """Sum of squared deviations of block shares from 1/(n+1), exactly:
     sum_i (1/(n+1) - R_i/m)^2 = sum_i (m - (n+1) R_i)^2 / (m (n+1))^2."""
-    scaled = sum((m - (n + 1) * int(r)) ** 2 for r in counts)
-    return Fraction(scaled, (m * (n + 1)) ** 2)
+    scaled = _dixon_rows(np.asarray(counts, dtype=object), m, n)  # Python ints: no overflow
+    return Fraction(int(scaled), (m * (n + 1)) ** 2)
 
 
 def dixon_c2_null(
@@ -524,46 +577,12 @@ def dixon_c2_null(
     scale = (m * (n + 1)) ** 2
 
     if method == "exact":
-        try:
-            enum = enumerate_frequency_vectors(m, n, cap)
-        except CapacityError as exc:
-            raise CapacityError(f"{exc}; use method='monte_carlo'") from None
-        tally: dict[int, int] = {}
-        for vec in enum.vectors:
-            scaled = sum((m - (n + 1) * r) ** 2 for r in vec)
-            tally[scaled] = tally.get(scaled, 0) + 1
-        denom = enum.count
-        support = tuple(Fraction(s, scale) for s in sorted(tally))
-        probs = tuple(Fraction(tally[s], denom) for s in sorted(tally))
-        return Pmf(support, probs, m, n, "dixon_c2")
+        tally = _tally_arrangements(lambda c: _dixon_rows(c, m, n), m, n, cap)
+        return _tallied_pmf(tally, m, n, "dixon_c2", lambda s: Fraction(s, scale))
 
     if method == "monte_carlo":
-        if n_draws < 1:
-            raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-        rng = np.random.default_rng(seed)
-        values = np.empty(n_draws)
-        chunk = max(1, min(n_draws, 4_000_000 // (m + n)))
-        done = 0
-        while done < n_draws:
-            size = min(chunk, n_draws - done)
-            keys = rng.random((size, m + n))
-            # positions of the n smallest keys are a uniform n-subset:
-            # the reference positions of a random arrangement
-            bars = np.sort(np.argpartition(keys, n - 1, axis=1)[:, :n], axis=1)
-            edges = np.concatenate(
-                [
-                    np.full((size, 1), -1, dtype=bars.dtype),
-                    bars,
-                    np.full((size, 1), m + n, dtype=bars.dtype),
-                ],
-                axis=1,
-            )
-            counts = np.diff(edges, axis=1) - 1
-            scaled = ((m - (n + 1) * counts) ** 2).sum(axis=1)
-            values[done : done + size] = scaled / scale
-            done += size
-        values = np.sort(values)
-        values.flags.writeable = False
-        return EmpiricalNull(values, m, n, "dixon_c2", seed, n_draws)
+        return _sampled_null(
+            lambda c: _dixon_rows(c, m, n) / scale, m, n, n_draws, seed, "dixon_c2"
+        )
 
     raise ValueError(f"method must be exact or monte_carlo, got {method!r}")

@@ -347,7 +347,12 @@ class BlockFrequencies:
 
 
 def _as_points(data, p: int | None = None) -> np.ndarray:
-    pts = data.points if isinstance(data, Sample) else np.asarray(data, dtype=float)
+    if isinstance(data, Sample):
+        pts = data.points
+    else:
+        pts = np.asarray(data, dtype=float)
+        if not np.isfinite(pts).all():
+            raise ValueError("data contains non-finite coordinates")
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if p is not None and pts.shape[1] != p:
@@ -437,19 +442,11 @@ def assign_block(fp: FittedPartition, x) -> int:
     equality closes, mirroring the half-open univariate intervals), or
     to the residual block n + 1.
     """
-    vec = np.asarray(x, dtype=float).reshape(-1)
-    if vec.shape[0] != fp.plan.p:
-        raise ValueError(f"point has dimension {vec.shape[0]}, partition has p={fp.plan.p}")
-    if not np.isfinite(vec).all():
-        raise ValueError("point has non-finite coordinates")
-    for k, rule in enumerate(fp.plan.cuts):
-        value = vec[rule.component - 1]
-        t = fp.thresholds[k]
-        if (rule.direction is Direction.MIN and value <= t) or (
-            rule.direction is Direction.MAX and value >= t
-        ):
-            return k + 1
-    return fp.plan.n + 1
+    vec = np.asarray(x, dtype=float).reshape(1, -1)
+    if vec.shape[1] != fp.plan.p:
+        raise ValueError(f"point has dimension {vec.shape[1]}, partition has p={fp.plan.p}")
+    blocks, _ = _assign_many(fp, _as_points(vec))
+    return int(blocks[0]) + 1
 
 
 def _assign_many(fp: FittedPartition, pts: np.ndarray) -> tuple[np.ndarray, int]:

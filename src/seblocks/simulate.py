@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
@@ -29,7 +28,8 @@ from .partition import (
     make_spiral_plan,
     make_stairstep_plan,
 )
-from .twosample import RejectionRule, build_rejection_rule, make_scores
+from .twosample import KNOWN_TESTS, SCORE_TESTS, RejectionRule, build_rejection_rule
+from .twosample import make_scores  # noqa: F401  (a module attribute perfbench/tracer.py wraps)
 
 __all__ = [
     "NULL_CASE",
@@ -192,28 +192,6 @@ def generate_scenario(spec: ScenarioSpec, rng_or_seed=None) -> tuple[np.ndarray,
 
 # --- test configurations ---------------------------------------------------
 
-SCORE_TESTS = ("wilcoxon", "van_der_waerden", "terry_hoeffding", "mood", "klotz", "siegel_tukey")
-KNOWN_TESTS = SCORE_TESTS + ("precedence", "maximal_block", "empty_block", "dixon_c2", "runs")
-
-_TEST_ALIASES = {
-    "rs": "wilcoxon",
-    "rank_sum": "wilcoxon",
-    "vdw": "van_der_waerden",
-    "th": "terry_hoeffding",
-    "prec": "precedence",
-    "mb": "maximal_block",
-    "eb": "empty_block",
-}
-
-_DEFAULT_ALTERNATIVES = {
-    "precedence": "two-sided",
-    "maximal_block": "upper",
-    "empty_block": "upper",
-    "dixon_c2": "upper",
-    "runs": "lower",
-}
-
-
 @dataclass(frozen=True)
 class TestConfig:
     """One test to run per replicate: a statistic plus a cut schedule.
@@ -231,11 +209,9 @@ class TestConfig:
     alternative: str | None = None
 
     def __post_init__(self):
-        name = _TEST_ALIASES.get(self.test.lower(), self.test.lower())
-        if name not in KNOWN_TESTS:
-            raise ValueError(f"unknown test {self.test!r}; known: {KNOWN_TESTS}")
+        name = twosample.canonical_test(self.test)
         object.__setattr__(self, "test", name)
-        alt = self.alternative or _DEFAULT_ALTERNATIVES.get(name, "two-sided")
+        alt = self.alternative or twosample.statistic_entry(name).alternative
         object.__setattr__(self, "alternative", twosample._check_alternative(alt))
 
     @property
@@ -270,53 +246,28 @@ class PowerEstimate:
 _NULL_SEED_TAG = 714_025  # fixed tag separating null-reference streams
 
 
+def _null_method(test: str, m: int, n: int) -> str:
+    """The harness's null method: the Wilcoxon pmf is exact at every
+    size, the other score families are Monte Carlo at every size, and
+    Dixon is exact while the C(m+n, n) arrangements fit the enumeration
+    cap (the closed forms ignore the method)."""
+    if test in SCORE_TESTS:
+        return "exact" if test == "wilcoxon" else "monte_carlo"
+    return "exact" if math.comb(m + n, n) <= nulldist.enumeration_cap() else "monte_carlo"
+
+
 @lru_cache(maxsize=256)
 def _cached_rule(
     test: str, m: int, n: int, j: int | None, alternative: str,
     alpha: float, n_draws: int, seed_key: tuple,
 ) -> RejectionRule:
-    if test in SCORE_TESTS:
-        scores = make_scores(test, m, n).scores
-        if test == "wilcoxon":
-            null = nulldist.linear_rank_null(m, n, scores, "exact")
-        else:
-            null = nulldist.linear_rank_null(
-                m, n, scores, "monte_carlo", n_draws=n_draws, seed=seed_key
-            ).to_pmf()
-    elif test == "precedence":
-        null = nulldist.precedence_pmf(m, n, j)
-    elif test == "maximal_block":
-        null = nulldist.maximal_block_pmf(m, n, j)
-    elif test == "empty_block":
-        null = nulldist.empty_block_pmf(m, n)
-    elif test == "dixon_c2":
-        if math.comb(m + n, n) <= nulldist.enumeration_cap():
-            null = nulldist.dixon_c2_null(m, n, "exact")
-        else:
-            null = nulldist.dixon_c2_null(
-                m, n, "monte_carlo", n_draws=n_draws, seed=seed_key
-            ).to_pmf()
-    elif test == "runs":
-        null = nulldist.runs_pmf(m, n)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown test {test!r}")
+    entry, params = twosample.resolve_statistic(test, m, n, j)
+    null = entry.null(
+        m, n, params, method=_null_method(test, m, n), n_draws=n_draws, seed=seed_key, cap=None
+    )
+    if isinstance(null, nulldist.EmpiricalNull):
+        null = null.to_pmf()
     return build_rejection_rule(null, alpha, alternative)
-
-
-def _rule_for(cfg: TestConfig, m: int, n: int, alpha: float, n_draws: int, base_seed: int,
-              idx: int) -> tuple[RejectionRule, int | None]:
-    """Build (rule, effective j) for a test applied with a size-n
-    reference sample and m tested points."""
-    j = cfg.j
-    if cfg.test == "precedence":
-        j = j if j is not None else twosample.default_precedence_j(n)
-    elif cfg.test == "maximal_block":
-        j = j if j is not None else twosample.default_maximal_block_j(n)
-    else:
-        j = None
-    seed_key = (base_seed, _NULL_SEED_TAG, idx, m, n)
-    rule = _cached_rule(cfg.test, m, n, j, cfg.alternative, alpha, n_draws, seed_key)
-    return rule, j
 
 
 # --- the replicate loop ------------------------------------------------------
@@ -341,37 +292,12 @@ class _StudyContext:
     tests: tuple[TestConfig, ...]
     plans: dict
     rules: dict
-    js: dict
-    scores: dict
-    alpha: float
+    statistics: dict
     base_seed: int
     randomize_roles: bool
     permute_columns: bool
     randomize_directions: bool
     max_tie_retries: int
-    dixon_scale: dict
-
-
-def _statistic(cfg: TestConfig, ctx: _StudyContext, key, freqs_counts: np.ndarray,
-               m: int, n: int):
-    test = cfg.test
-    if test in SCORE_TESTS:
-        a = ctx.scores[(test, m, n)]
-        zero_pos = np.cumsum(freqs_counts[:n]) + np.arange(n)
-        stat = float(a.sum() - a[zero_pos].sum())
-        return int(round(stat)) if test == "wilcoxon" else stat
-    if test == "precedence":
-        return int(freqs_counts[: ctx.js[key]].sum())
-    if test == "maximal_block":
-        return int(freqs_counts[: ctx.js[key]].max())
-    if test == "empty_block":
-        return int((freqs_counts == 0).sum())
-    if test == "dixon_c2":
-        scaled = int(((m - (n + 1) * freqs_counts) ** 2).sum())
-        denom = (m * (n + 1)) ** 2
-        exact = ctx.dixon_scale[(m, n)]
-        return Fraction(scaled, denom) if exact else scaled / denom
-    raise ValueError(f"unexpected test {test!r}")  # pragma: no cover
 
 
 def _run_replicates(ctx: _StudyContext, start: int, stop: int) -> tuple[np.ndarray, int]:
@@ -380,6 +306,7 @@ def _run_replicates(ctx: _StudyContext, start: int, stop: int) -> tuple[np.ndarr
     rejections = np.zeros(k_tests, dtype=np.int64)
     retries = 0
     plan_names = sorted({cfg.plan for cfg in ctx.tests if cfg.test != "runs"})
+    has_runs = any(cfg.test == "runs" for cfg in ctx.tests)
     for r in range(start, stop):
         for attempt in range(ctx.max_tie_retries + 1):
             rng = np.random.default_rng((ctx.base_seed, r, attempt))
@@ -394,7 +321,6 @@ def _run_replicates(ctx: _StudyContext, start: int, stop: int) -> tuple[np.ndarr
                 y = y[:, perm]
             descending = ctx.randomize_directions and rng.random() < 0.5
             uniforms = rng.random(k_tests)
-            m_eff = x.shape[0]
             n_eff = y.shape[0]
             try:
                 freqs = {}
@@ -404,18 +330,14 @@ def _run_replicates(ctx: _StudyContext, start: int, stop: int) -> tuple[np.ndarr
                     freqs[name] = np.asarray(
                         block_frequencies(fitted, x).counts, dtype=np.int64
                     )
-                run_stats = {}
-                if any(cfg.test == "runs" for cfg in ctx.tests):
-                    run_stats["runs"] = twosample.runs_statistic(x, y)
+                # runs keeps its raw-sample statistic
+                runs = twosample.runs_statistic(x, y) if has_runs else None
             except TieError:
                 retries += 1
                 continue
             for i, cfg in enumerate(ctx.tests):
                 key = (i, swapped)
-                if cfg.test == "runs":
-                    stat = run_stats["runs"]
-                else:
-                    stat = _statistic(cfg, ctx, key, freqs[cfg.plan], m_eff, n_eff)
+                stat = runs if cfg.test == "runs" else ctx.statistics[key](freqs[cfg.plan])
                 if ctx.rules[key].decide(stat, uniforms[i]):
                     rejections[i] += 1
             break
@@ -488,39 +410,37 @@ def run_power_study(
                 if key not in plans:
                     plans[key] = _oriented_plan(cfg.plan, spec.p, n_eff, down)
 
-    rules, js, scores, dixon_scale = {}, {}, {}, {}
+    # rules and statistics per (test index, roles swapped), each bound
+    # once with its sizes, parameters and scores
+    rules, statistics = {}, {}
     for i, cfg in enumerate(tests):
         for m_eff, n_eff in orientations:
-            swapped = (m_eff, n_eff) != (spec.m, spec.n)
-            rule, j = _rule_for(cfg, m_eff, n_eff, alpha, n_null_draws, base_seed, i)
-            rules[(i, swapped)] = rule
-            js[(i, swapped)] = j
-            if cfg.test in SCORE_TESTS and (cfg.test, m_eff, n_eff) not in scores:
-                scores[(cfg.test, m_eff, n_eff)] = make_scores(cfg.test, m_eff, n_eff).scores
-            if cfg.test == "dixon_c2":
-                dixon_scale[(m_eff, n_eff)] = (
-                    math.comb(m_eff + n_eff, n_eff) <= nulldist.enumeration_cap()
-                )
+            key = (i, (m_eff, n_eff) != (spec.m, spec.n))
+            seed_key = (base_seed, _NULL_SEED_TAG, i, m_eff, n_eff)
+            rules[key] = _cached_rule(
+                cfg.test, m_eff, n_eff, cfg.j, cfg.alternative, alpha, n_null_draws, seed_key
+            )
+            if cfg.test != "runs":
+                entry, params = twosample.resolve_statistic(cfg.test, m_eff, n_eff, cfg.j)
+                exact = _null_method(cfg.test, m_eff, n_eff) == "exact"
+                statistics[key] = entry.bind(m_eff, n_eff, params, exact)
     if spec.m == spec.n and randomize_roles:
         # same sizes either way; both orientations share the rules
-        for i in range(len(tests)):
-            rules[(i, True)] = rules[(i, False)]
-            js[(i, True)] = js[(i, False)]
+        for table in (rules, statistics):
+            for i, _ in list(table):
+                table[(i, True)] = table[(i, False)]
 
     ctx = _StudyContext(
         spec=spec,
         tests=tests,
         plans=plans,
         rules=rules,
-        js=js,
-        scores=scores,
-        alpha=alpha,
+        statistics=statistics,
         base_seed=base_seed,
         randomize_roles=randomize_roles,
         permute_columns=permute_columns,
         randomize_directions=randomize_directions,
         max_tie_retries=max_tie_retries,
-        dixon_scale=dixon_scale,
     )
 
     if workers <= 1:

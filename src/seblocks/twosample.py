@@ -1,10 +1,13 @@
 """Two-sample test statistics, p-values, and randomized decisions.
 
-Every block-based statistic here is a function of the frequency vector
+Every block-based statistic is a function of the frequency vector
 (R_1, ..., R_{n+1}) alone, so its null law is the corresponding exact
 distribution from :mod:`seblocks.nulldist` for any continuous generating
-distribution in any dimension.  Discrete statistics reach the nominal
-level exactly through randomization at the critical atom.
+distribution in any dimension.  ``STATISTICS`` holds each statistic
+once, with its null, default alternative and parameters; the test
+functions, the CLI and the power harness read it.  Discrete statistics
+reach the nominal level exactly through randomization at the critical
+atom.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from typing import Sequence
+from functools import lru_cache, partial
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import gammaln, log_ndtr, ndtri
@@ -27,6 +30,10 @@ __all__ = [
     "ScoreFamily",
     "ScoreVector",
     "IndicatorVector",
+    "BlockStatistic",
+    "STATISTICS",
+    "SCORE_TESTS",
+    "KNOWN_TESTS",
     "TestResult",
     "RejectionRule",
     "RandomizedDecision",
@@ -35,6 +42,10 @@ __all__ = [
     "build_indicator_vector",
     "frequencies_from_indicator",
     "mann_whitney_u",
+    "canonical_test",
+    "statistic_entry",
+    "resolve_statistic",
+    "block_test",
     "linear_rank_test",
     "precedence_test",
     "maximal_block_test",
@@ -201,21 +212,13 @@ class IndicatorVector:
         object.__setattr__(self, "z", z)
 
 
-def _zero_positions(counts: Sequence[int]) -> np.ndarray:
-    """0-based positions of the reference points in the pooled
-    arrangement: cumulative count through block k, plus k - 1."""
-    counts = np.asarray(counts, dtype=np.int64)
-    n = counts.size - 1
-    return np.cumsum(counts[:n]) + np.arange(n)
-
-
 def build_indicator_vector(freqs: BlockFrequencies) -> IndicatorVector:
     """Reconstruct the pooled arrangement from block frequencies: the
     j-th reference point sits right after the comparison points of the
     first j blocks."""
     z = np.ones(freqs.m + freqs.n, dtype=np.int8)
     if freqs.n:
-        z[_zero_positions(freqs.counts)] = 0
+        z[nulldist._reference_positions(np.asarray(freqs.counts))] = 0
     return IndicatorVector(z, freqs.m, freqs.n)
 
 
@@ -226,14 +229,11 @@ def frequencies_from_indicator(z) -> BlockFrequencies:
     if arr.ndim != 1 or not np.isin(arr, (0, 1)).all():
         raise ValueError("indicator vector must be a flat 0/1 array")
     zero_pos = np.flatnonzero(arr == 0)
-    n = zero_pos.size
-    m = arr.size - n
-    edges = np.concatenate([[-1], zero_pos, [arr.size]])
-    counts = np.diff(edges) - 1
-    return BlockFrequencies(tuple(int(c) for c in counts), m, n)
+    counts = nulldist._counts_from_bars(zero_pos[None], arr.size)[0]
+    return BlockFrequencies(tuple(counts.tolist()), arr.size - zero_pos.size, zero_pos.size)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TestResult:
     """Outcome of one test: statistic, null reference, and p-values.
 
@@ -251,7 +251,6 @@ class TestResult:
     alternative: str
     method: str
     metadata: dict = field(default_factory=dict)
-    randomization_gamma: float | None = None
 
     @property
     def p_value(self) -> float:
@@ -273,8 +272,6 @@ class TestResult:
             "alternative": self.alternative,
             "method": self.method,
         }
-        if self.randomization_gamma is not None:
-            out["gamma"] = self.randomization_gamma
         out.update(self.metadata)
         return out
 
@@ -304,10 +301,246 @@ def mann_whitney_u(freqs: BlockFrequencies) -> int:
     return int(sum(i * r for i, r in enumerate(freqs.counts)))
 
 
+def default_precedence_j(n: int) -> int:
+    """Rule-of-thumb block count: about half the blocks, rounded down."""
+    return max(1, (n + 1) // 2)
+
+
+def default_maximal_block_j(n: int) -> int:
+    """Without censoring, use every block."""
+    return n + 1
+
+
+# --- the statistic table ------------------------------------------------------
+
+
+def _j_param(default, top_offset: int):
+    """Block count j: ``default(n)`` when unset, checked against
+    [1, n + top_offset]."""
+
+    def resolve(m: int, n: int, j, scores) -> int:
+        j = default(n) if j is None else j
+        if not 1 <= j <= n + top_offset:
+            raise ValueError(f"j must be in [1, {n + top_offset}], got {j}")
+        return j
+
+    return resolve
+
+
+def _score_params(m: int, n: int, j, scores) -> ScoreVector:
+    """A family name (Wilcoxon when unset), a ScoreVector, or raw
+    scores, checked to have length m + n."""
+    if scores is None or isinstance(scores, (str, ScoreFamily)):
+        sv = make_scores(scores or ScoreFamily.WILCOXON, m, n)
+    else:
+        sv = scores if isinstance(scores, ScoreVector) else ScoreVector(np.asarray(scores))
+    if len(sv) != m + n:
+        raise ValueError(f"need {m + n} scores, got {len(sv)}")
+    return sv
+
+
+def _rank_value(v, m: int, n: int, sv: ScoreVector, exact: bool):
+    return int(round(float(v))) if sv.family is ScoreFamily.WILCOXON else float(v)
+
+
+def _dixon_value(v, m: int, n: int, params, exact: bool):
+    # the Monte Carlo null holds floats; mirror its arithmetic exactly
+    scale = (m * (n + 1)) ** 2
+    return Fraction(int(v), scale) if exact else int(v) / scale
+
+
+def _block_runs(c, m: int, n: int, params):
+    """Runs of the pooled arrangement: one per nonempty block, plus the
+    runs of reference points, which nonempty inner blocks separate."""
+    return (c > 0).sum(axis=-1) + (c[..., 1:-1] > 0).sum(axis=-1) + 1
+
+
+def _interior_exterior(c, m: int, n: int, params):
+    """Empty interior blocks and empty exterior (first and last) blocks."""
+    return np.stack(
+        [(c[..., 1:-1] == 0).sum(axis=-1), (c[..., [0, -1]] == 0).sum(axis=-1)], axis=-1
+    )
+
+
+@dataclass(frozen=True)
+class BlockStatistic:
+    """One statistic of the block-frequency vector and what a test of
+    it needs.
+
+    ``statistic(counts, m, n, params)`` maps frequency vectors (the last
+    axis of ``counts``, one row or an (R, n+1) matrix) to values;
+    ``value(v, m, n, params, exact)`` turns one value into the reported
+    statistic, typed like the atoms of the null (``exact``: the null is
+    the exact law, not a Monte Carlo one).  ``null(m, n, params,
+    method=, n_draws=, seed=, cap=)`` builds the null reference; entries
+    without ``methods`` ignore the keywords, their closed forms are
+    always exact.  ``params(m, n, j, scores)`` applies the parameter
+    defaults and range checks.  ``alternative`` is the default
+    alternative; None marks a joint law that has no test.
+    """
+
+    name: str
+    statistic: Callable
+    null: Callable
+    alternative: str | None
+    params: Callable = lambda m, n, j, scores: None
+    value: Callable = lambda v, m, n, params, exact: int(v)
+    methods: bool = False
+
+    def describe(self, params) -> tuple[str, dict]:
+        """Statistic name and the metadata the parameters add."""
+        if isinstance(params, ScoreVector):
+            return f"{self.name}[{params.family.value}]", {"scores": params.family.value}
+        return (self.name, {}) if params is None else (f"{self.name}(j={params})", {"j": params})
+
+    def observe(self, m: int, n: int, params, exact: bool, counts: np.ndarray):
+        """The reported statistic of one frequency vector."""
+        return self.value(self.statistic(counts, m, n, params), m, n, params, exact)
+
+    def bind(self, m: int, n: int, params, exact: bool) -> Callable:
+        """``observe`` with everything but the counts fixed."""
+        return partial(self.observe, m, n, params, exact)
+
+    def __reduce__(self):
+        # the entries hold lambdas; a pickle names the entry instead
+        return statistic_entry, (self.name,)
+
+
+# To add a statistic of the frequency vector, add its entry here; the
+# test functions, the CLI and the power harness all read this table.
+STATISTICS = {
+    entry.name: entry
+    for entry in (
+        BlockStatistic(
+            "precedence",
+            lambda c, m, n, j: c[..., :j].sum(axis=-1),
+            lambda m, n, j, **_: nulldist.precedence_pmf(m, n, j),
+            "two-sided",
+            _j_param(default_precedence_j, 0),
+        ),
+        BlockStatistic(
+            "empty_block",
+            lambda c, m, n, _: (c == 0).sum(axis=-1),
+            lambda m, n, p, **_: nulldist.empty_block_pmf(m, n),
+            "upper",
+        ),
+        BlockStatistic(
+            "maximal_block",
+            lambda c, m, n, j: c[..., :j].max(axis=-1),
+            lambda m, n, j, **_: nulldist.maximal_block_pmf(m, n, j),
+            "upper",
+            _j_param(default_maximal_block_j, 1),
+        ),
+        BlockStatistic(
+            "runs",
+            _block_runs,
+            lambda m, n, p, **_: nulldist.runs_pmf(m, n),
+            "lower",
+        ),
+        BlockStatistic(
+            "interior_exterior",
+            _interior_exterior,
+            lambda m, n, p, **_: nulldist.interior_exterior_empty_pmf(m, n),
+            None,
+            value=lambda v, m, n, params, exact: tuple(int(x) for x in v),
+        ),
+        BlockStatistic(
+            "dixon_c2",
+            lambda c, m, n, _: nulldist._dixon_rows(c, m, n),
+            lambda m, n, p, method, **kw: nulldist.dixon_c2_null(m, n, method, **kw),
+            "upper",
+            value=_dixon_value,
+            methods=True,
+        ),
+        BlockStatistic(
+            "linear_rank",
+            lambda c, m, n, sv: nulldist._rank_sum_rows(c, sv.scores),
+            lambda m, n, sv, method, **kw: nulldist.linear_rank_null(
+                m, n, sv.scores, method, **kw
+            ),
+            "two-sided",
+            _score_params,
+            _rank_value,
+            methods=True,
+        ),
+    )
+}
+
+# a score-test name is the linear rank statistic with that family's scores
+SCORE_TESTS = ("wilcoxon", "van_der_waerden", "terry_hoeffding", "mood", "klotz", "siegel_tukey")
+KNOWN_TESTS = SCORE_TESTS + ("precedence", "maximal_block", "empty_block", "dixon_c2", "runs")
+
+_TEST_ALIASES = {
+    "rs": "wilcoxon",
+    "rank_sum": "wilcoxon",
+    "vdw": "van_der_waerden",
+    "th": "terry_hoeffding",
+    "prec": "precedence",
+    "mb": "maximal_block",
+    "eb": "empty_block",
+}
+
+
+def canonical_test(name: str) -> str:
+    """The test called ``name`` (any case, aliases resolved)."""
+    test = _TEST_ALIASES.get(name.lower(), name.lower())
+    if test not in KNOWN_TESTS:
+        raise ValueError(f"unknown test {name!r}; known: {KNOWN_TESTS}")
+    return test
+
+
+def statistic_entry(test: str) -> BlockStatistic:
+    """Table entry of a table name or a test name."""
+    name = "linear_rank" if test in SCORE_TESTS else test
+    if name not in STATISTICS:
+        raise ValueError(f"unknown statistic {test!r}; known: {tuple(STATISTICS)}")
+    return STATISTICS[name]
+
+
+def resolve_statistic(test: str, m: int, n: int, j=None, scores=None):
+    """(table entry, checked parameters) of a table name or a test name;
+    a score test uses its own family unless ``scores`` overrides it."""
+    if test in SCORE_TESTS and scores is None:
+        scores = test
+    entry = statistic_entry(test)
+    return entry, entry.params(m, n, j, scores)
+
+
+def block_test(
+    test: str,
+    freqs: BlockFrequencies,
+    alternative: str | None = None,
+    method: str = "exact",
+    *,
+    j: int | None = None,
+    scores=None,
+    n_draws: int = 200_000,
+    seed=0,
+    cap: int | None = None,
+) -> TestResult:
+    """Test a statistic of the block frequencies against its null.
+
+    ``test`` is a name of ``STATISTICS`` or a score-test name; ``j`` and
+    ``scores`` go to the entries that take them, and ``method``,
+    ``n_draws``, ``seed`` and ``cap`` to the nulls that are not closed
+    forms.  The alternative defaults to the entry's.
+    """
+    m, n = freqs.m, freqs.n
+    entry, params = resolve_statistic(test, m, n, j, scores)
+    if entry.alternative is None:
+        raise ValueError(f"{entry.name} is a joint distribution without a test")
+    alternative = _check_alternative(alternative or entry.alternative)
+    null = entry.null(m, n, params, method=method, n_draws=n_draws, seed=seed, cap=cap)
+    stat = entry.observe(m, n, params, isinstance(null, Pmf), np.asarray(freqs.counts))
+    name, meta = entry.describe(params)
+    method = method if entry.methods else "exact"
+    return _result(stat, name, null, alternative, method, {"m": m, "n": n, **meta})
+
+
 def linear_rank_test(
     freqs: BlockFrequencies,
     scores: ScoreVector | Sequence[float],
-    alternative: str = "two-sided",
+    alternative: str | None = None,
     method: str = "exact",
     *,
     n_draws: int = 200_000,
@@ -320,86 +553,37 @@ def linear_rank_test(
     With rank scores 1..(m+n) the statistic is the rank sum, which also
     equals m(m+1)/2 plus the placement sum ``mann_whitney_u``.
     """
-    alternative = _check_alternative(alternative)
-    sv = scores if isinstance(scores, ScoreVector) else ScoreVector(np.asarray(scores))
-    a = sv.scores
-    m, n = freqs.m, freqs.n
-    if a.size != m + n:
-        raise ValueError(f"need {m + n} scores, got {a.size}")
-    stat = float(a.sum() - a[_zero_positions(freqs.counts)].sum()) if n else float(a.sum())
-    null = nulldist.linear_rank_null(
-        m, n, a, method, n_draws=n_draws, seed=seed, cap=cap
-    )
-    if sv.family is ScoreFamily.WILCOXON:
-        stat = int(round(stat))
-    name = f"linear_rank[{sv.family.value}]"
-    meta = {"m": m, "n": n, "scores": sv.family.value}
-    return _result(stat, name, null, alternative, method, meta)
-
-
-def default_precedence_j(n: int) -> int:
-    """Rule-of-thumb block count: about half the blocks, rounded down."""
-    return max(1, (n + 1) // 2)
-
-
-def default_maximal_block_j(n: int) -> int:
-    """Without censoring, use every block."""
-    return n + 1
+    kw = dict(scores=scores, n_draws=n_draws, seed=seed, cap=cap)
+    return block_test("linear_rank", freqs, alternative, method, **kw)
 
 
 def precedence_test(
-    freqs: BlockFrequencies,
-    j: int | None = None,
-    alternative: str = "two-sided",
+    freqs: BlockFrequencies, j: int | None = None, alternative: str | None = None
 ) -> TestResult:
     """Count of comparison points in the first j blocks, against its
     exact negative hypergeometric null."""
-    alternative = _check_alternative(alternative)
-    m, n = freqs.m, freqs.n
-    if j is None:
-        j = default_precedence_j(n)
-    if not 1 <= j <= n:
-        raise ValueError(f"j must be in [1, {n}], got {j}")
-    stat = int(sum(freqs.counts[:j]))
-    null = nulldist.precedence_pmf(m, n, j)
-    meta = {"m": m, "n": n, "j": j}
-    return _result(stat, f"precedence(j={j})", null, alternative, "exact", meta)
+    return block_test("precedence", freqs, alternative, j=j)
 
 
 def maximal_block_test(
-    freqs: BlockFrequencies,
-    j: int | None = None,
-    alternative: str = "upper",
+    freqs: BlockFrequencies, j: int | None = None, alternative: str | None = None
 ) -> TestResult:
     """Largest count among the first j blocks (all blocks by default);
     concentration shows up as a large maximum, so the upper tail is the
     natural rejection region."""
-    alternative = _check_alternative(alternative)
-    m, n = freqs.m, freqs.n
-    if j is None:
-        j = default_maximal_block_j(n)
-    if not 1 <= j <= n + 1:
-        raise ValueError(f"j must be in [1, {n + 1}], got {j}")
-    stat = int(max(freqs.counts[:j]))
-    null = nulldist.maximal_block_pmf(m, n, j)
-    meta = {"m": m, "n": n, "j": j}
-    return _result(stat, f"maximal_block(j={j})", null, alternative, "exact", meta)
+    return block_test("maximal_block", freqs, alternative, j=j)
 
 
-def empty_block_test(freqs: BlockFrequencies, alternative: str = "upper") -> TestResult:
+def empty_block_test(freqs: BlockFrequencies, alternative: str | None = None) -> TestResult:
     """Number of empty blocks; identical populations rarely leave many
     blocks empty, so large values reject."""
-    alternative = _check_alternative(alternative)
-    stat = int(sum(1 for c in freqs.counts if c == 0))
-    null = nulldist.empty_block_pmf(freqs.m, freqs.n)
-    meta = {"m": freqs.m, "n": freqs.n}
-    return _result(stat, "empty_block", null, alternative, "exact", meta)
+    return block_test("empty_block", freqs, alternative)
 
 
 def dixon_c2_test(
     freqs: BlockFrequencies,
     method: str = "exact",
-    alternative: str = "upper",
+    alternative: str | None = None,
     *,
     n_draws: int = 200_000,
     seed=0,
@@ -407,14 +591,8 @@ def dixon_c2_test(
 ) -> TestResult:
     """Sum of squared deviations of block shares from 1/(n+1); heavy
     concentration in a few blocks inflates it."""
-    alternative = _check_alternative(alternative)
-    m, n = freqs.m, freqs.n
-    exact_stat = nulldist.dixon_statistic(freqs.counts, m, n)
-    null = nulldist.dixon_c2_null(m, n, method, n_draws=n_draws, seed=seed, cap=cap)
-    # the Monte Carlo null holds floats; mirror its arithmetic exactly
-    stat = exact_stat if isinstance(null, Pmf) else exact_stat.numerator / exact_stat.denominator
-    meta = {"m": m, "n": n}
-    return _result(stat, "dixon_c2", null, alternative, method, meta)
+    kw = dict(n_draws=n_draws, seed=seed, cap=cap)
+    return block_test("dixon_c2", freqs, alternative, method, **kw)
 
 
 def runs_statistic(x, y) -> int:
@@ -438,17 +616,15 @@ def runs_statistic(x, y) -> int:
     return int(1 + (lab[1:] != lab[:-1]).sum())
 
 
-def runs_test(x, y, alternative: str = "lower") -> TestResult:
-    """Classical univariate runs test; few runs mean poorly mixed
-    samples, so the lower tail rejects."""
-    alternative = _check_alternative(alternative)
+def runs_test(x, y, alternative: str | None = None) -> TestResult:
+    """Classical univariate runs test on the raw samples; few runs mean
+    poorly mixed samples, so the lower tail rejects."""
+    entry = STATISTICS["runs"]
+    alternative = _check_alternative(alternative or entry.alternative)
     stat = runs_statistic(x, y)
-    xv = _as_points(x)
-    yv = _as_points(y)
-    m, n = xv.shape[0], yv.shape[0]
-    null = nulldist.runs_pmf(m, n)
-    meta = {"m": m, "n": n}
-    return _result(stat, "runs", null, alternative, "exact", meta)
+    m, n = _as_points(x).shape[0], _as_points(y).shape[0]
+    null = entry.null(m, n, None)
+    return _result(stat, entry.name, null, alternative, "exact", {"m": m, "n": n})
 
 
 # --- randomized decisions -------------------------------------------------
@@ -524,22 +700,14 @@ def build_rejection_rule(pmf: Pmf, alpha: float, alternative: str) -> RejectionR
     a = Fraction(alpha)
     if not 0 < a < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if alternative == "lower":
-        crit, gamma = _tail_critical(pmf, a, "lower")
-        return RejectionRule(alternative, a, lower_critical=crit, lower_gamma=gamma)
-    if alternative == "upper":
-        crit, gamma = _tail_critical(pmf, a, "upper")
-        return RejectionRule(alternative, a, upper_critical=crit, upper_gamma=gamma)
-    lo_crit, lo_gamma = _tail_critical(pmf, a / 2, "lower")
-    up_crit, up_gamma = _tail_critical(pmf, a / 2, "upper")
-    return RejectionRule(
-        alternative,
-        a,
-        lower_critical=lo_crit,
-        lower_gamma=lo_gamma,
-        upper_critical=up_crit,
-        upper_gamma=up_gamma,
-    )
+    # a two-sided rule splits the level evenly between the tails
+    share = a / 2 if alternative == "two-sided" else a
+    tails = {}
+    if alternative != "upper":
+        tails["lower_critical"], tails["lower_gamma"] = _tail_critical(pmf, share, "lower")
+    if alternative != "lower":
+        tails["upper_critical"], tails["upper_gamma"] = _tail_critical(pmf, share, "upper")
+    return RejectionRule(alternative, a, **tails)
 
 
 @dataclass(frozen=True)
@@ -575,5 +743,4 @@ def randomized_decision(result: TestResult, alpha: float, seed=None) -> Randomiz
     u = float(rng.random())
     reject = rule.decide(result.statistic, u)
     gamma = float(rule.gamma_at(result.statistic))
-    result.randomization_gamma = gamma
     return RandomizedDecision(reject, gamma, float(alpha), u, rule)

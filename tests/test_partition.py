@@ -184,6 +184,14 @@ class TestFitPartition:
         with pytest.raises(TieError):
             fit_partition(make_univariate_plan(2), Sample([top, top]), on_ties="perturb")
 
+    def test_non_finite_raw_reference_is_rejected(self):
+        plan = make_plan("univariate", 1, 3)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                fit_partition(plan, np.array([bad, 1.0, 2.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_partition(plan, np.array([np.nan, np.nan, 2.0]), on_ties="perturb")
+
     def test_ignores_ties_on_uncut_components(self):
         plan = PartitionPlan(2, 3, tuple(CutRule(1, Direction.MIN) for _ in range(3)))
         y = Sample([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
@@ -233,6 +241,13 @@ class TestAssignAndCount:
         freqs = block_frequencies(fitted, Sample([1.0, 0.5]))
         assert freqs.boundary_ties == 1
         assert freqs.counts == (2, 0, 0)
+
+    def test_non_finite_raw_comparison_points_are_rejected(self):
+        fitted = fit_partition(make_univariate_plan(3), Sample([0.0, 1.0, 2.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            block_frequencies(fitted, np.array([np.nan, 0.5]))
+        with pytest.raises(ValueError, match="non-finite"):
+            assign_block(fitted, [np.nan])
 
     def test_counts_validate(self):
         with pytest.raises(ValueError):

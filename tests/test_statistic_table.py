@@ -1,0 +1,250 @@
+"""The statistic table: outputs pinned before the table replaced the
+per-test code paths, the CLI against the library for every test name,
+and exact atom matching between observed statistics and Monte Carlo
+nulls."""
+
+import csv
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+from seblocks import cli, nulldist, simulate, twosample
+from seblocks.partition import BlockFrequencies, block_frequencies, fit_partition, make_plan
+from seblocks.simulate import KNOWN_TESTS, SCORE_TESTS, ScenarioSpec, TestConfig, run_power_study
+
+Y_TOY = [
+    [1.28, 0.87], [-0.79, -0.96], [0.70, 0.65],
+    [-1.23, 1.58], [-0.24, -0.68], [-0.40, 1.36],
+]
+X_ALT = [
+    [-0.25, -1.79], [-2.21, -0.26], [0.11, -1.66], [-1.45, -1.42],
+    [0.64, -1.66], [0.81, -1.88], [-3.18, -2.01], [-2.18, -0.61],
+]
+X_UNI = [[-4.62], [-1.56], [-0.21], [0.13], [0.27]]
+Y_UNI = [[-0.36], [0.00], [0.75], [3.32]]
+
+# Recorded from the per-test code paths the table replaced.
+PINNED_REJECTIONS = {
+    "A": [8, 8, 8, 5, 7, 5, 11, 5, 8, 8, 5, 9],
+    "B": [11, 17],
+    "C": [4, 3],
+}
+
+PINNED_PAYLOADS = {
+    "wilcoxon": (2, {
+        "statistic": 40, "statistic_name": "linear_rank[wilcoxon]",
+        "p_lower": 0.003996003996003996, "p_upper": 0.9976689976689976,
+        "p_two_sided": 0.007992007992007992, "p_value": 0.007992007992007992,
+        "alternative": "two-sided", "method": "exact", "m": 8, "n": 6, "scores": "wilcoxon",
+        "p": 2, "seed": 0, "plan": "spiral", "null": "exact", "null_atoms": 49, "alpha": 0.05,
+        "reject": True, "gamma": 0.0,
+    }),
+    "van_der_waerden": (2, {
+        "statistic": -4.076404519463812, "statistic_name": "linear_rank[van_der_waerden]",
+        "p_lower": 0.00333000333000333, "p_upper": 0.9976689976689976,
+        "p_two_sided": 0.00666000666000666, "p_value": 0.00666000666000666,
+        "alternative": "two-sided", "method": "exact", "m": 8, "n": 6,
+        "scores": "van_der_waerden", "p": 2, "seed": 0, "plan": "spiral", "null": "exact",
+        "null_atoms": 1797, "alpha": 0.05, "reject": True, "gamma": 0.0,
+    }),
+    "van_der_waerden:monte_carlo": (2, {
+        "statistic": -4.076404519463812, "statistic_name": "linear_rank[van_der_waerden]",
+        "p_lower": 0.0025, "p_upper": 0.998, "p_two_sided": 0.005, "p_value": 0.005,
+        "alternative": "two-sided", "method": "monte_carlo", "m": 8, "n": 6,
+        "scores": "van_der_waerden", "p": 2, "seed": 0, "plan": "spiral", "null": "monte_carlo",
+        "null_draws": 2000, "alpha": 0.05, "reject": True, "gamma": 0.0,
+    }),
+    "terry_hoeffding": (2, {
+        "statistic": -4.474174236904593, "statistic_name": "linear_rank[terry_hoeffding]",
+        "p_lower": 0.00333000333000333, "p_upper": 0.9976689976689976,
+        "p_two_sided": 0.00666000666000666, "p_value": 0.00666000666000666,
+        "alternative": "two-sided", "method": "exact", "m": 8, "n": 6,
+        "scores": "terry_hoeffding", "p": 2, "seed": 0, "plan": "spiral", "null": "exact",
+        "null_atoms": 1220, "alpha": 0.05, "reject": True, "gamma": 0.0,
+    }),
+    "mood": (0, {
+        "statistic": 110.0, "statistic_name": "linear_rank[mood]",
+        "p_lower": 0.25274725274725274, "p_upper": 0.7712287712287712,
+        "p_two_sided": 0.5054945054945055, "p_value": 0.5054945054945055,
+        "alternative": "two-sided", "method": "exact", "m": 8, "n": 6, "scores": "mood", "p": 2,
+        "seed": 0, "plan": "spiral", "null": "exact", "null_atoms": 77, "alpha": 0.05,
+        "reject": False, "gamma": 0.0,
+    }),
+    "klotz": (0, {
+        "statistic": 4.725800093680327, "statistic_name": "linear_rank[klotz]",
+        "p_lower": 0.2913752913752914, "p_upper": 0.7119547119547119,
+        "p_two_sided": 0.5827505827505828, "p_value": 0.5827505827505828,
+        "alternative": "two-sided", "method": "exact", "m": 8, "n": 6, "scores": "klotz",
+        "p": 2, "seed": 0, "plan": "spiral", "null": "exact", "null_atoms": 527, "alpha": 0.05,
+        "reject": False, "gamma": 0.0,
+    }),
+    "siegel_tukey": (0, {
+        "statistic": 68.0, "statistic_name": "linear_rank[siegel_tukey]",
+        "p_lower": 0.8588078588078588, "p_upper": 0.17249417249417248,
+        "p_two_sided": 0.34498834498834496, "p_value": 0.34498834498834496,
+        "alternative": "two-sided", "method": "exact", "m": 8, "n": 6, "scores": "siegel_tukey",
+        "p": 2, "seed": 0, "plan": "spiral", "null": "exact", "null_atoms": 49, "alpha": 0.05,
+        "reject": False, "gamma": 0.0,
+    }),
+    "precedence": (2, {
+        "statistic": 8, "statistic_name": "precedence(j=3)", "p_lower": 1.0,
+        "p_upper": 0.014985014985014986, "p_two_sided": 0.029970029970029972,
+        "p_value": 0.029970029970029972, "alternative": "two-sided", "method": "exact", "m": 8,
+        "n": 6, "j": 3, "p": 2, "seed": 0, "plan": "spiral", "null": "exact", "null_atoms": 9,
+        "alpha": 0.05, "reject": True, "gamma": 0.0,
+    }),
+    "maximal_block": (0, {
+        "statistic": 4, "statistic_name": "maximal_block(j=7)", "p_lower": 0.8041958041958042,
+        "p_upper": 0.4825174825174825, "p_two_sided": 0.965034965034965,
+        "p_value": 0.4825174825174825, "alternative": "upper", "method": "exact", "m": 8,
+        "n": 6, "j": 7, "p": 2, "seed": 0, "plan": "spiral", "null": "exact", "null_atoms": 7,
+        "alpha": 0.05, "reject": False, "gamma": 0.0,
+    }),
+    "empty_block": (2, {
+        "statistic": 5, "statistic_name": "empty_block", "p_lower": 0.9976689976689976,
+        "p_upper": 0.05128205128205128, "p_two_sided": 0.10256410256410256,
+        "p_value": 0.05128205128205128, "alternative": "upper", "method": "exact", "m": 8,
+        "n": 6, "p": 2, "seed": 0, "plan": "spiral", "null": "exact", "null_atoms": 7,
+        "alpha": 0.05, "reject": True, "gamma": 0.9738095238095239,
+    }),
+    "dixon_c2": (0, {
+        "statistic": 0.35714285714285715, "statistic_name": "dixon_c2",
+        "p_lower": 0.9207459207459208, "p_upper": 0.08624708624708624,
+        "p_two_sided": 0.17249417249417248, "p_value": 0.08624708624708624,
+        "alternative": "upper", "method": "exact", "m": 8, "n": 6, "p": 2, "seed": 0,
+        "plan": "spiral", "null": "exact", "null_atoms": 17, "alpha": 0.05, "reject": False,
+        "gamma": 0.0,
+    }),
+    "dixon_c2:monte_carlo": (0, {
+        "statistic": 0.35714285714285715, "statistic_name": "dixon_c2", "p_lower": 0.929,
+        "p_upper": 0.07899999999999996, "p_two_sided": 0.15799999999999992,
+        "p_value": 0.07899999999999996, "alternative": "upper", "method": "monte_carlo", "m": 8,
+        "n": 6, "p": 2, "seed": 0, "plan": "spiral", "null": "monte_carlo", "null_draws": 2000,
+        "alpha": 0.05, "reject": False, "gamma": 0.0,
+    }),
+    "runs": (0, {
+        "statistic": 6, "statistic_name": "runs", "p_lower": 0.7857142857142857, "p_upper": 0.5,
+        "p_two_sided": 1.0, "p_value": 0.7857142857142857, "alternative": "lower",
+        "method": "exact", "m": 5, "n": 4, "p": 1, "seed": 0, "null": "exact", "null_atoms": 8,
+        "alpha": 0.05, "reject": False, "gamma": 0.0,
+    }),
+}
+
+
+def _studies():
+    """Power studies over every test name: the block tests at p = 3
+    with Dixon under the enumeration cap (9/7, C(16, 7) arrangements)
+    and over it (20/20), and runs at p = 1."""
+    block = [TestConfig(t, "spiral") for t in KNOWN_TESTS if t != "runs"]
+    block += [
+        TestConfig("dixon_c2", "stairstep"), TestConfig("precedence", "stairstep", 2, "upper"),
+    ]
+    yield "A", ScenarioSpec(scenario=3, c=2.0, p=3, m=9, n=7), block
+    yield "B", ScenarioSpec(scenario=3, c=2.0, p=3, m=20, n=20), [
+        TestConfig("dixon_c2", "spiral"), TestConfig("mood", "stairstep"),
+    ]
+    yield "C", ScenarioSpec(scenario=3, c=2.0, p=1, m=10, n=8), [
+        TestConfig("runs", "univariate"), TestConfig("wilcoxon", "univariate"),
+    ]
+
+
+def test_power_rejections_are_pinned():
+    assert simulate._null_method("dixon_c2", 9, 7) == "exact"
+    assert simulate._null_method("dixon_c2", 20, 20) == "monte_carlo"
+    for key, spec, tests in _studies():
+        est = run_power_study(spec, tests, 0.05, 80, 5, n_null_draws=2000)
+        assert [e.rejections for e in est] == PINNED_REJECTIONS[key], key
+        assert est[0].tie_retries == 0
+
+
+def _write(path, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return str(path)
+
+
+@pytest.fixture
+def files(tmp_path):
+    return {
+        "block": (_write(tmp_path / "x.csv", X_ALT), _write(tmp_path / "y.csv", Y_TOY)),
+        "runs": (_write(tmp_path / "xu.csv", X_UNI), _write(tmp_path / "yu.csv", Y_UNI)),
+    }
+
+
+def _cli_test(files, test, *extra):
+    x, y = files["runs" if test == "runs" else "block"]
+    return cli.main(["test", "--x", x, "--y", y, "--test", test, *extra])
+
+
+@pytest.mark.parametrize("label", list(PINNED_PAYLOADS))
+def test_cli_test_json_is_pinned(label, files, capsys):
+    test, _, method = label.partition(":")
+    extra = ["--method", method, "--draws", "2000"] if method else []
+    code = _cli_test(files, test, "--decide", *extra)
+    want_code, payload = PINNED_PAYLOADS[label]
+    assert code == want_code
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+def _library(test, freqs):
+    """The named public test function for a CLI test name."""
+    if test in SCORE_TESTS:
+        return twosample.linear_rank_test(freqs, twosample.make_scores(test, freqs.m, freqs.n))
+    if test == "runs":
+        return twosample.runs_test(X_UNI, Y_UNI)
+    return getattr(twosample, f"{test}_test")(freqs)
+
+
+@pytest.mark.parametrize("test", KNOWN_TESTS)
+def test_cli_and_library_agree(test, files, capsys):
+    assert _cli_test(files, test, "--method", "exact") == 0
+    payload = json.loads(capsys.readouterr().out)
+    freqs = block_frequencies(fit_partition(make_plan("spiral", 2, 6), Y_TOY), X_ALT)
+    expected = _library(test, freqs).to_json_dict()
+    for key in ("statistic", "statistic_name", "p_lower", "p_upper", "p_two_sided",
+                "alternative", "method"):
+        assert payload[key] == expected[key], key
+
+
+def test_every_test_name_has_a_table_entry():
+    tables = {twosample.statistic_entry(t).name for t in KNOWN_TESTS}
+    assert tables | {"interior_exterior"} == set(twosample.STATISTICS)
+    assert {t: TestConfig(t).alternative for t in KNOWN_TESTS} == {
+        **{t: "two-sided" for t in SCORE_TESTS},
+        "precedence": "two-sided", "maximal_block": "upper", "empty_block": "upper",
+        "dixon_c2": "upper", "runs": "lower",
+    }
+    with pytest.raises(ValueError, match="joint distribution"):
+        twosample.block_test("interior_exterior", BlockFrequencies((1, 0, 1), 2, 2))
+
+
+@pytest.mark.parametrize("test, m, n", [
+    *[(t, m, n) for t in SCORE_TESTS[1:] for m, n in ((9, 7), (40, 35))],
+    ("dixon_c2", 20, 20),
+])
+def test_observed_statistics_are_atoms_of_the_monte_carlo_null(test, m, n):
+    """The arrangements a Monte Carlo null was drawn from, pushed
+    through the observed-statistic paths, land exactly on its atoms."""
+    entry, params = twosample.resolve_statistic(test, m, n)
+    null = entry.null(m, n, params, method="monte_carlo", n_draws=400, seed=9)
+    atoms = set(null.to_pmf().support)
+    rng = np.random.default_rng(9)
+    counts = np.concatenate(list(nulldist._sample_arrangements(m, n, 400, rng)))
+    observe = entry.bind(m, n, params, simulate._null_method(test, m, n) == "exact")
+    assert all(observe(row) in atoms for row in counts)
+    for row in counts[:50]:
+        freqs = BlockFrequencies(tuple(row.tolist()), m, n)
+        res = twosample.block_test(test, freqs, method="monte_carlo", n_draws=400, seed=9)
+        assert res.statistic in atoms
+
+
+def test_result_is_immutable_and_the_decision_carries_gamma():
+    res = twosample.empty_block_test(BlockFrequencies((0, 3, 0, 1), 4, 3))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.statistic = 0
+    before = res.to_json_dict()
+    decision = twosample.randomized_decision(res, 0.3, seed=1)
+    assert res.to_json_dict() == before and "gamma" not in before
+    assert 0 < decision.gamma < 1

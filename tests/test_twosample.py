@@ -359,6 +359,10 @@ class TestRuns:
         with pytest.raises(ValueError):
             runs_test(Sample([[1.0, 2.0]]), Sample([[0.0, 1.0]]))
 
+    def test_non_finite_raw_values_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            runs_statistic(np.array([1.0, np.nan]), np.array([2.0, 3.0]))
+
 
 class TestRandomizedDecision:
     def test_empty_block_rule_has_exact_size(self):
