@@ -199,12 +199,8 @@ def _check_oracle(args, entry, params, null) -> int:
     tally = nulldist._tally_arrangements(lambda c: entry.statistic(c, m, n, params), m, n)
     total = math.comb(m + n, n)
     expected = {entry.value(v, m, n, params, True): Fraction(k, total) for v, k in tally.items()}
-    if isinstance(null, nulldist.JointPmf):
-        actual = dict(null.atoms)
-    else:
-        actual = dict(zip(null.support, null.probs))
     # the same statistic labels both sides, so even float atoms match exactly
-    if actual != expected:
+    if dict(zip(null.support, null.probs)) != expected:
         raise CliError("oracle cross-check FAILED: closed form disagrees with enumeration")
     print(f"oracle cross-check passed over {total} frequency vectors", file=sys.stderr)
     return 0
@@ -224,27 +220,34 @@ def cmd_dist(args) -> int:
 
     if isinstance(null, EmpiricalNull):
         null = null.to_pmf()
+    if args.output == "table" and not isinstance(null, NormalNull):
+        raise CliError("--output table is for the normal approximation; use csv or json for a pmf")
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         if isinstance(null, NormalNull):
             _emit_result(
                 {"mean": null.mean, "variance": null.variance, "m": args.m, "n": args.n},
-                "csv" if args.output == "csv" else args.output,
+                args.output,
                 out,
             )
             return 0
+        # a Fraction value shows as its float; a pair (joint law) fills two columns
+        rows = [
+            ([float(v) if isinstance(v, Fraction) else v for v in value], num, den, prob)
+            for *value, num, den, prob in null.csv_rows()
+        ]
+        if args.output == "json":
+            keys = ("value", "numerator", "denominator", "probability")
+            atoms = [dict(zip(keys, (v if len(v) > 1 else v[0], *rest))) for v, *rest in rows]
+            json.dump(atoms, out, indent=2)
+            out.write("\n")
+            return 0
+        header = ["s0_in", "s0_ex"] if isinstance(null, nulldist.JointPmf) else ["value"]
         writer = csv.writer(out)
-        if isinstance(null, nulldist.JointPmf):
-            writer.writerow(["s0_in", "s0_ex", "numerator", "denominator", "probability"])
-            for row in null.csv_rows():
-                writer.writerow([*row[:2], row[2], row[3], repr(row[4])])
-        else:
-            writer.writerow(["value", "numerator", "denominator", "probability"])
-            for value, num, den, prob in null.csv_rows():
-                shown = (
-                    repr(float(value)) if isinstance(value, (float, Fraction)) else value
-                )
-                writer.writerow([shown, num, den, repr(prob)])
+        writer.writerow([*header, "numerator", "denominator", "probability"])
+        for value, num, den, prob in rows:
+            shown = [repr(v) if isinstance(v, float) else v for v in value]
+            writer.writerow([*shown, num, den, repr(prob)])
     finally:
         if args.out:
             out.close()
@@ -416,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--on-ties", default="error", choices=["error", "perturb"])
     t.set_defaults(func=cmd_test)
 
-    d = sub.add_parser("dist", help="print an exact null distribution as CSV")
+    d = sub.add_parser("dist", help="print a null distribution as CSV or JSON")
     d.add_argument("--statistic", required=True, help=f"one of {_DIST_STATISTICS}")
     d.add_argument("--m", type=int, required=True)
     d.add_argument("--n", type=int, required=True)

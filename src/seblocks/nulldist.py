@@ -6,18 +6,22 @@ likely, with probability 1 / C(m+n, n).  Every distribution here follows
 from that single fact, and each closed form has a brute-force witness in
 ``enumerate_frequency_vectors``.
 
-Probabilities are held as exact ``fractions.Fraction`` values over
-arbitrary-precision integers and rendered to floats only on request.
+So every exact law is held as integer counts over C(m+n, n) (a Monte
+Carlo law: over the number of draws); tail probabilities and rejection
+rules come from their prefix sums, and ``Fraction`` probabilities are
+derived only on request.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -77,87 +81,88 @@ def _validate_sizes(m: int, n: int):
 
 
 @dataclass(frozen=True)
-class Pmf:
-    """A discrete distribution with exact rational probabilities.
-
-    Support values are ascending and may be ints, Fractions, or floats
-    depending on the statistic.
-    """
+class _CountedLaw:
+    """A discrete law: atom ``support[i]`` (strictly ascending) has
+    probability counts[i] / total, with ``total`` C(m+n, n) for an exact
+    null and the number of draws for a Monte Carlo one.  ``cum_counts``
+    holds the prefix sums of the counts (int64 when ``total`` fits)."""
 
     support: tuple
-    probs: tuple[Fraction, ...]
+    counts: tuple[int, ...]
+    total: int
     m: int
     n: int
     statistic: str
+    cum_counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.support) != len(self.probs):
-            raise ValueError("support and probabilities must align")
-        if any(p < 0 or p > 1 for p in self.probs):
-            raise ValueError("probabilities must lie in [0, 1]")
-        total = sum(self.probs, Fraction(0))
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, expected exactly 1")
-        if any(self.support[i] >= self.support[i + 1] for i in range(len(self.support) - 1)):
+        if not self.counts or len(self.support) != len(self.counts) or min(self.counts) < 0:
+            raise ValueError("need one nonnegative count per atom of the support")
+        dtype = np.int64 if self.total <= np.iinfo(np.int64).max else object
+        cum = np.array(self.counts, dtype=dtype)
+        np.cumsum(cum, out=cum)
+        if int(cum[-1]) != self.total or self.total < 1:
+            raise ValueError(f"counts sum to {int(cum[-1])}, not the positive total {self.total}")
+        if not all(map(operator.lt, self.support, itertools.islice(self.support, 1, None))):
             raise ValueError("support must be strictly ascending")
+        cum.flags.writeable = False
+        object.__setattr__(self, "cum_counts", cum)
+
+    @cached_property
+    def probs(self) -> tuple[Fraction, ...]:
+        """Exact probabilities, reduced: the law at the API edge."""
+        return tuple(Fraction(c, self.total) for c in self.counts)
 
     def p(self, value) -> Fraction:
         """Exact point mass at ``value`` (0 if not in the support)."""
-        for v, pr in zip(self.support, self.probs):
-            if v == value:
-                return pr
+        i = bisect.bisect_left(self.support, value)
+        if i < len(self.support) and self.support[i] == value:
+            return Fraction(self.counts[i], self.total)
         return Fraction(0)
+
+    def csv_rows(self):
+        """Rows (value, numerator, denominator, probability) for export;
+        a pair value (joint law) takes two fields."""
+        for v, pr in zip(self.support, self.probs):
+            yield *(v if isinstance(v, tuple) else (v,)), pr.numerator, pr.denominator, float(pr)
+
+
+class Pmf(_CountedLaw):
+    """A distribution of a scalar statistic with exact rational
+    probabilities.  Support values may be ints, Fractions, or floats
+    depending on the statistic."""
+
+    def _count_below(self, value, inclusive: bool) -> int:
+        """Total count of the atoms < ``value`` (<= when ``inclusive``)."""
+        k = (bisect.bisect_right if inclusive else bisect.bisect_left)(self.support, value)
+        return int(self.cum_counts[k - 1]) if k else 0
 
     def cdf(self, value) -> Fraction:
         """Exact P(T <= value)."""
-        return sum((pr for v, pr in zip(self.support, self.probs) if v <= value), Fraction(0))
+        return Fraction(self._count_below(value, True), self.total)
 
     def sf(self, value) -> Fraction:
         """Exact P(T >= value)."""
-        return sum((pr for v, pr in zip(self.support, self.probs) if v >= value), Fraction(0))
+        return Fraction(self.total - self._count_below(value, False), self.total)
 
+    # integer division rounds correctly, so these equal float(cdf) and float(sf)
     def p_lower(self, value) -> float:
-        return float(self.cdf(value))
+        return self._count_below(value, True) / self.total
 
     def p_upper(self, value) -> float:
-        return float(self.sf(value))
-
-    def probabilities_float(self) -> np.ndarray:
-        return np.array([float(p) for p in self.probs])
-
-    def mean(self) -> float:
-        return float(sum(Fraction(v) * p for v, p in zip(self.support, self.probs)))
-
-    def csv_rows(self):
-        """Rows (value, numerator, denominator, probability) for export."""
-        for v, pr in zip(self.support, self.probs):
-            yield v, pr.numerator, pr.denominator, float(pr)
+        return (self.total - self._count_below(value, False)) / self.total
 
 
-@dataclass(frozen=True)
-class JointPmf:
-    """A joint distribution over integer pairs with exact probabilities."""
+class JointPmf(_CountedLaw):
+    """A joint distribution over integer pairs (the support, ascending
+    in lexicographic order) with exact probabilities."""
 
-    atoms: tuple[tuple[tuple[int, int], Fraction], ...]
-    m: int
-    n: int
-    statistic: str
-
-    def __post_init__(self):
-        total = sum((pr for _, pr in self.atoms), Fraction(0))
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, expected exactly 1")
+    @property
+    def atoms(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
+        return tuple(zip(self.support, self.probs))
 
     def p(self, pair) -> Fraction:
-        key = tuple(pair)
-        for atom, pr in self.atoms:
-            if atom == key:
-                return pr
-        return Fraction(0)
-
-    def csv_rows(self):
-        for (a, b), pr in self.atoms:
-            yield a, b, pr.numerator, pr.denominator, float(pr)
+        return super().p(tuple(pair))
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,8 +202,10 @@ class EmpiricalNull:
     def to_pmf(self) -> Pmf:
         """Collapse the draws to an exact pmf of the empirical law."""
         uniq, counts = np.unique(self.values, return_counts=True)
-        probs = tuple(Fraction(int(c), self.n_draws) for c in counts)
-        return Pmf(tuple(uniq.tolist()), probs, self.m, self.n, self.statistic + "(mc)")
+        return Pmf(
+            tuple(uniq.tolist()), tuple(counts.tolist()), self.n_draws,
+            self.m, self.n, self.statistic + "(mc)",
+        )
 
 
 @dataclass(frozen=True)
@@ -214,14 +221,18 @@ class NormalNull:
     def _z(self, t) -> float:
         return (t - self.mean) / math.sqrt(self.variance)
 
+    def _on_mean(self, t) -> bool:
+        # without spread, a statistic summed from the scores is the mean up to rounding
+        return math.isclose(t, self.mean, rel_tol=1e-9)
+
     def p_lower(self, t) -> float:
         if self.variance == 0:
-            return 1.0 if t >= self.mean else 0.0
+            return 1.0 if t >= self.mean or self._on_mean(t) else 0.0
         return float(ndtr(self._z(t)))
 
     def p_upper(self, t) -> float:
         if self.variance == 0:
-            return 1.0 if t <= self.mean else 0.0
+            return 1.0 if t <= self.mean or self._on_mean(t) else 0.0
         return float(ndtr(-self._z(t)))
 
 
@@ -309,6 +320,13 @@ def enumerate_frequency_vectors(m: int, n: int, cap: int | None = None) -> Frequ
     return FrequencyEnumeration(m, n, vectors)
 
 
+def _exact_law(cls, pairs, m: int, n: int, statistic: str):
+    """A ``cls`` law over all C(m+n, n) arrangements from (value, count)
+    pairs in ascending order of value; atoms with no count are left out."""
+    support, counts = zip(*((v, c) for v, c in pairs if c))
+    return cls(support, counts, math.comb(m + n, n), m, n, statistic)
+
+
 def precedence_pmf(m: int, n: int, j: int) -> Pmf:
     """Distribution of the count of comparison points in the first j
     blocks: P(T = t) = C(t+j-1, t) C(m-t+n-j, m-t) / C(m+n, n), the
@@ -316,25 +334,16 @@ def precedence_pmf(m: int, n: int, j: int) -> Pmf:
     _validate_sizes(m, n)
     if not 1 <= j <= n:
         raise ValueError(f"j must be in [1, {n}], got {j}")
-    denom = math.comb(m + n, n)
-    support = tuple(range(m + 1))
-    probs = tuple(
-        Fraction(_choose(t + j - 1, t) * _choose(m - t + n - j, m - t), denom)
-        for t in support
-    )
-    return Pmf(support, probs, m, n, f"precedence(j={j})")
+    pairs = ((t, _choose(t + j - 1, t) * _choose(m - t + n - j, m - t)) for t in range(m + 1))
+    return _exact_law(Pmf, pairs, m, n, f"precedence(j={j})")
 
 
 def empty_block_pmf(m: int, n: int) -> Pmf:
     """Distribution of the number of empty blocks:
     P(S0 = s) = C(n+1, s) C(m-1, n-s) / C(m+n, n)."""
     _validate_sizes(m, n)
-    denom = math.comb(m + n, n)
-    support = tuple(range(max(0, n + 1 - m), n + 1))
-    probs = tuple(
-        Fraction(_choose(n + 1, s) * _choose(m - 1, n - s), denom) for s in support
-    )
-    return Pmf(support, probs, m, n, "empty_block")
+    pairs = ((s, _choose(n + 1, s) * _choose(m - 1, n - s)) for s in range(n + 1))
+    return _exact_law(Pmf, pairs, m, n, "empty_block")
 
 
 def joint_block_pmf(m: int, n: int, r: Sequence[int]) -> Fraction:
@@ -380,51 +389,35 @@ def maximal_block_pmf(m: int, n: int, j: int) -> Pmf:
     _validate_sizes(m, n)
     if not 1 <= j <= n + 1:
         raise ValueError(f"j must be in [1, {n + 1}], got {j}")
-    denom = math.comb(m + n, n)
 
-    def cum(r: int) -> Fraction:
-        if r < 0:
-            return Fraction(0)
+    def at_most(r: int) -> int:
+        """Arrangements with the maximum at most r."""
         if j == n + 1:
-            return Fraction(_bounded_compositions(j, m, r), denom)
-        num = sum(
+            return _bounded_compositions(j, m, r)
+        return sum(
             _bounded_compositions(j, s, r) * _choose(m + n - s - j, n - j)
             for s in range(0, min(m, j * r) + 1)
         )
-        return Fraction(num, denom)
 
-    support = []
-    probs = []
-    prev = Fraction(0)
-    for r in range(0, m + 1):
-        cur = cum(r)
-        mass = cur - prev
-        prev = cur
-        if mass != 0:
-            support.append(r)
-            probs.append(mass)
-    return Pmf(tuple(support), tuple(probs), m, n, f"maximal_block(j={j})")
+    cum = [0] + [at_most(r) for r in range(m + 1)]
+    pairs = ((r, cum[r + 1] - cum[r]) for r in range(m + 1))
+    return _exact_law(Pmf, pairs, m, n, f"maximal_block(j={j})")
 
 
 def runs_pmf(m: int, n: int) -> Pmf:
     """Distribution of the number of runs in the sorted pooled sample."""
     _validate_sizes(m, n)
-    denom = math.comb(m + n, n)
-    hi = min(2 * n + 1, 2 * m + 1, m + n)
-    support = []
-    probs = []
-    for u in range(2, hi + 1):
+
+    def count(u: int) -> int:
         if u % 2 == 0:
             half = u // 2
-            num = 2 * _choose(m - 1, half - 1) * _choose(n - 1, half - 1)
-        else:
-            num = _choose(m - 1, (u - 1) // 2) * _choose(n - 1, (u - 3) // 2) + _choose(
-                m - 1, (u - 3) // 2
-            ) * _choose(n - 1, (u - 1) // 2)
-        if num:
-            support.append(u)
-            probs.append(Fraction(num, denom))
-    return Pmf(tuple(support), tuple(probs), m, n, "runs")
+            return 2 * _choose(m - 1, half - 1) * _choose(n - 1, half - 1)
+        return _choose(m - 1, (u - 1) // 2) * _choose(n - 1, (u - 3) // 2) + _choose(
+            m - 1, (u - 3) // 2
+        ) * _choose(n - 1, (u - 1) // 2)
+
+    hi = min(2 * n + 1, 2 * m + 1, m + n)
+    return _exact_law(Pmf, ((u, count(u)) for u in range(2, hi + 1)), m, n, "runs")
 
 
 def interior_exterior_empty_pmf(m: int, n: int) -> JointPmf:
@@ -436,47 +429,46 @@ def interior_exterior_empty_pmf(m: int, n: int) -> JointPmf:
     _validate_sizes(m, n)
     if n < 2:
         raise ValueError(f"interior blocks require n >= 2, got n={n}")
-    denom = math.comb(m + n, n)
-    atoms = []
-    for i in range(0, n):
-        for e in range(0, 3):
-            if not max(0, n + 1 - m) <= i + e <= n:
-                continue
-            num = _choose(2, e) * _choose(n - 1, i) * _choose(m - 1, n - i - e)
-            if num:
-                atoms.append(((i, e), Fraction(num, denom)))
-    return JointPmf(tuple(atoms), m, n, "interior_exterior_empty")
+    pairs = (
+        ((i, e), _choose(2, e) * _choose(n - 1, i) * _choose(m - 1, n - i - e))
+        for i in range(0, n)
+        for e in range(0, 3)
+        if max(0, n + 1 - m) <= i + e <= n
+    )
+    return _exact_law(JointPmf, pairs, m, n, "interior_exterior_empty")
 
 
 @lru_cache(maxsize=64)
 def _wilcoxon_rank_sum_pmf(m: int, n: int) -> Pmf:
-    """Exact rank-sum distribution over all C(m+n, n) arrangements.
-
-    Counts of arrangements with shifted sum u come from the coefficient
-    array of the Gaussian binomial, built in O(m * mn) exact integer
-    operations, so no arrangement enumeration is needed at any size.
-    """
+    """Exact rank-sum distribution over all C(m+n, n) arrangements: the
+    counts are the coefficients of the Gaussian binomial
+    prod_{i<=k} (1 - q^(K+i)) / (1 - q^i), k = min(m, n), K = max(m, n),
+    applied factor by factor to the whole array of exact Python ints (a
+    shifted subtraction, then a prefix sum down the columns of an
+    (rows, i) view).  Each step reads only lower coefficients, and they
+    are palindromic, so only the lower half is computed."""
+    k, big = min(m, n), max(m, n)
     top = m * n
-    coeff = [0] * (top + 1)
+    size = top // 2 + 1
+    # k spare cells let every (rows, i) view run past the lower half;
+    # what lands there never flows back into it
+    coeff = np.zeros(size + k, dtype=object)
     coeff[0] = 1
-    for i in range(1, m + 1):
-        step = n + i
-        for s in range(top, step - 1, -1):
-            coeff[s] -= coeff[s - step]
-        for s in range(i, top + 1):
-            coeff[s] += coeff[s - i]
-    denom = math.comb(m + n, n)
+    for i in range(1, k + 1):
+        # numpy buffers overlapping operands, so this reads the old values
+        coeff[big + i : size] -= coeff[: max(0, size - big - i)]
+        rows = -(-size // i)
+        view = coeff[: rows * i].reshape(rows, i)
+        view[...] = np.add.accumulate(view, axis=0)
+    lower = coeff[:size].tolist()
+    counts = tuple(lower + lower[: top + 1 - size][::-1])
     shift = m * (m + 1) // 2
     support = tuple(range(shift, shift + top + 1))
-    probs = tuple(Fraction(c, denom) for c in coeff)
-    return Pmf(support, probs, m, n, "wilcoxon_rank_sum")
+    return Pmf(support, counts, math.comb(m + n, n), m, n, "wilcoxon_rank_sum")
 
 
 def _tallied_pmf(tally: dict, m: int, n: int, statistic: str, atom=lambda v: v) -> Pmf:
-    total = math.comb(m + n, n)
-    support = sorted(tally)
-    probs = tuple(Fraction(tally[v], total) for v in support)
-    return Pmf(tuple(atom(v) for v in support), probs, m, n, statistic)
+    return _exact_law(Pmf, ((atom(v), tally[v]) for v in sorted(tally)), m, n, statistic)
 
 
 def _sampled_null(statistic, m: int, n: int, n_draws: int, seed, name: str) -> EmpiricalNull:
@@ -542,6 +534,9 @@ def linear_rank_null(
         N = m + n
         mean = m * total / N
         variance = m * n * (N * sumsq - total**2) / (N**2 * (N - 1))
+        # no spread in scores equal up to rounding (Klotz at N = 2); never below 0
+        flat = np.ptp(a) <= 4 * np.finfo(float).eps * np.abs(a).max()
+        variance = 0.0 if flat else max(variance, 0.0)
         return NormalNull(mean, variance, m, n, "linear_rank")
 
     raise ValueError(f"method must be exact, monte_carlo, or normal, got {method!r}")

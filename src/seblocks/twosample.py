@@ -664,33 +664,35 @@ class RejectionRule:
 
     def size(self, pmf: Pmf) -> Fraction:
         """Exact rejection probability under ``pmf``; equals alpha when
-        the rule was built from that pmf."""
+        the rule was built from that pmf.  Each tail is its critical atom's
+        tail less the share 1 - gamma of that atom (the critical atoms of
+        a built rule never cross, so no atom counts twice)."""
+        lo, hi = self.lower_critical, self.upper_critical
         total = Fraction(0)
-        for v, pr in zip(pmf.support, pmf.probs):
-            if self.lower_critical is not None and v < self.lower_critical:
-                total += pr
-            elif self.upper_critical is not None and v > self.upper_critical:
-                total += pr
-            else:
-                total += self.gamma_at(v) * pr
+        if lo is not None:
+            total += pmf.cdf(lo) - (1 - self.lower_gamma) * pmf.p(lo)
+        if hi is not None:
+            total += pmf.sf(hi) - (1 - self.upper_gamma) * pmf.p(hi)
         return total
 
 
 def _tail_critical(pmf: Pmf, alpha: Fraction, tail: str):
     """Critical atom and gamma so that the strict tail plus the
-    randomized atom carries exactly ``alpha``."""
-    pairs = list(zip(pmf.support, pmf.probs))
-    if tail == "upper":
-        pairs = pairs[::-1]
-    cum = Fraction(0)
-    for v, pr in pairs:
-        if pr == 0:
-            continue
-        if cum + pr <= alpha:
-            cum += pr
-            continue
-        return v, (alpha - cum) / pr
-    raise ValueError("level must be below the total probability")
+    randomized atom carries exactly ``alpha`` = a/b.  In integers: the
+    tail through an atom fits while its count is at most ``room`` =
+    floor(a * total / b); the critical atom is the first one past that."""
+    a, b, total, cum = alpha.numerator, alpha.denominator, pmf.total, pmf.cum_counts
+    room = a * total // b
+    if room >= total:
+        raise ValueError("level must be below the total probability")
+    if tail == "lower":
+        k = int(np.searchsorted(cum, room, side="right"))
+        beyond = int(cum[k - 1]) if k else 0
+    else:
+        # the upper tail through atom k holds total - cum[k - 1]
+        k = int(np.searchsorted(cum, total - room, side="left"))
+        beyond = total - int(cum[k])
+    return pmf.support[k], Fraction(a * total - b * beyond, b * pmf.counts[k])
 
 
 def build_rejection_rule(pmf: Pmf, alpha: float, alternative: str) -> RejectionRule:

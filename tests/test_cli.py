@@ -164,6 +164,59 @@ class TestDistCommand:
         ])
         assert code == 0 and out.exists()
 
+    # recorded before pmfs held integer counts
+    PINNED_CSV = {
+        ("empty_block", "4", "3"): (
+            "value,numerator,denominator,probability\r\n"
+            "0,1,35,0.02857142857142857\r\n1,12,35,0.34285714285714286\r\n"
+            "2,18,35,0.5142857142857142\r\n3,4,35,0.11428571428571428\r\n"
+        ),
+        ("dixon_c2", "3", "2"): (
+            "value,numerator,denominator,probability\r\n"
+            "0.0,1,10,0.1\r\n0.2222222222222222,3,5,0.6\r\n0.6666666666666666,3,10,0.3\r\n"
+        ),
+        ("interior_exterior", "3", "2"): (
+            "s0_in,s0_ex,numerator,denominator,probability\r\n"
+            "0,0,1,10,0.1\r\n0,1,2,5,0.4\r\n0,2,1,10,0.1\r\n1,0,1,5,0.2\r\n1,1,1,5,0.2\r\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("stat, m, n", list(PINNED_CSV))
+    def test_csv_output_is_pinned(self, stat, m, n, capsys):
+        assert cli.main(["dist", "--statistic", stat, "--m", m, "--n", n]) == 0
+        assert capsys.readouterr().out == self.PINNED_CSV[stat, m, n]
+
+    @pytest.mark.parametrize("stat, m, n", list(PINNED_CSV))
+    def test_json_output_lists_the_csv_atoms(self, stat, m, n, capsys):
+        argv = ["dist", "--statistic", stat, "--m", m, "--n", n]
+        assert cli.main([*argv, "--output", "json"]) == 0
+        atoms = json.loads(capsys.readouterr().out)
+        rows = list(csv.reader(self.PINNED_CSV[stat, m, n].splitlines()))[1:]
+        assert len(atoms) == len(rows)
+        for atom, row in zip(atoms, rows):
+            assert list(atom) == ["value", "numerator", "denominator", "probability"]
+            value = atom["value"] if isinstance(atom["value"], list) else [atom["value"]]
+            shown = [repr(v) if isinstance(v, float) else str(v) for v in value]
+            fields = [atom["numerator"], atom["denominator"], repr(atom["probability"])]
+            assert shown + [str(f) for f in fields] == row
+
+    def test_table_output_rejected_for_a_pmf(self, capsys):
+        for stat in ("empty_block", "interior_exterior"):
+            argv = ["dist", "--statistic", stat, "--m", "3", "--n", "2", "--output", "table"]
+            assert cli.main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.strip().splitlines()) == 1 and "table" in captured.err
+
+    def test_normal_approximation_formats(self, capsys):
+        argv = ["dist", "--statistic", "linear_rank", "--scores", "klotz", "--m", "3",
+                "--n", "2", "--method", "normal", "--output"]
+        assert cli.main([*argv, "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["mean", "variance", "m", "n"]
+        assert cli.main([*argv, "table"]) == 0
+        assert capsys.readouterr().out.splitlines()[0].startswith("mean")
+
     def test_unknown_statistic(self, capsys):
         assert cli.main(["dist", "--statistic", "entropy", "--m", "3", "--n", "3"]) == 1
 

@@ -22,6 +22,8 @@ from seblocks.nulldist import (
     precedence_pmf,
     runs_pmf,
 )
+from seblocks.partition import BlockFrequencies
+from seblocks.twosample import linear_rank_test, make_scores
 
 HALF = Fraction(1, 2)
 
@@ -250,6 +252,21 @@ class TestLinearRankNull:
         assert null.variance == pytest.approx(0.0)
         assert null.p_lower(7.5) == 1.0 and null.p_upper(7.5) == 1.0
 
+    def test_scores_equal_up_to_rounding_degenerate(self):
+        # the two Klotz scores at N = 2 differ in the last bit, and the
+        # moment formula rounds to a negative variance; for three equal
+        # scores of 0.3 it rounds to a positive one, and for scores
+        # eight ulps apart (spread, as far as floats tell) below 0
+        near = np.full(20, 0.5056378869683275)
+        near[0] *= 1 + 8 * np.finfo(float).eps
+        cases = ((make_scores("klotz", 1, 1), 1, 1), (np.full(3, 0.3), 1, 2), (near, 1, 19))
+        for scores, m, n in cases:
+            for k in range(n + 1):
+                freqs = BlockFrequencies(tuple(int(i == k) for i in range(n + 1)), m, n)
+                res = linear_rank_test(freqs, scores, method="normal")
+                assert res.null_reference.variance == 0.0
+                assert res.p_lower == res.p_upper == res.p_two_sided == 1.0
+
     def test_monte_carlo_reproducible_and_close_to_exact(self):
         m, n = 6, 6
         scores = np.arange(1.0, 13.0)
@@ -307,11 +324,11 @@ class TestDixon:
 class TestPmfContainer:
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            Pmf((0, 1), (HALF, Fraction(1, 3)), 1, 1, "bad")
+            Pmf((0, 1), (3, 2), 6, 1, 1, "bad")
 
     def test_support_must_ascend(self):
         with pytest.raises(ValueError):
-            Pmf((1, 0), (HALF, HALF), 1, 1, "bad")
+            Pmf((1, 0), (1, 1), 2, 1, 1, "bad")
 
     def test_tail_probabilities(self):
         pmf = empty_block_pmf(4, 4)

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from seblocks import cli, nulldist, simulate, twosample
-from seblocks.partition import BlockFrequencies, block_frequencies, fit_partition, make_plan
+from seblocks.partition import (
+    BlockFrequencies, Sample, block_frequencies, fit_partition, make_plan,
+)
 from seblocks.simulate import KNOWN_TESTS, SCORE_TESTS, ScenarioSpec, TestConfig, run_power_study
 
 Y_TOY = [
@@ -130,6 +132,25 @@ PINNED_PAYLOADS = {
         "method": "exact", "m": 5, "n": 4, "p": 1, "seed": 0, "null": "exact", "null_atoms": 8,
         "alpha": 0.05, "reject": False, "gamma": 0.0,
     }),
+    # Cold-call sizes on the seeded null samples of ``files``, recorded
+    # before pmfs held integer counts: the exact Wilcoxon null at m = n =
+    # 200 (40,001 atoms) and a 200,000-draw Terry-Hoeffding null at m = n = 50.
+    "wilcoxon:exact:200": (0, {
+        "statistic": 40523, "statistic_name": "linear_rank[wilcoxon]",
+        "p_lower": 0.6427838395365749, "p_upper": 0.35753861539908255,
+        "p_two_sided": 0.7150772307981651, "p_value": 0.7150772307981651,
+        "alternative": "two-sided", "method": "exact", "m": 200, "n": 200,
+        "scores": "wilcoxon", "p": 3, "seed": 0, "plan": "spiral", "null": "exact",
+        "null_atoms": 40001, "alpha": 0.05, "reject": False, "gamma": 0.0,
+    }),
+    "terry_hoeffding:monte_carlo:50": (0, {
+        "statistic": 4.839253069217892, "statistic_name": "linear_rank[terry_hoeffding]",
+        "p_lower": 0.83431, "p_upper": 0.16569, "p_two_sided": 0.33138, "p_value": 0.33138,
+        "alternative": "two-sided", "method": "monte_carlo", "m": 50, "n": 50,
+        "scores": "terry_hoeffding", "p": 3, "seed": 0, "plan": "spiral",
+        "null": "monte_carlo", "null_draws": 200000, "alpha": 0.05, "reject": False,
+        "gamma": 0.0,
+    }),
 }
 
 
@@ -167,22 +188,32 @@ def _write(path, rows):
 
 @pytest.fixture
 def files(tmp_path):
-    return {
+    out = {
         "block": (_write(tmp_path / "x.csv", X_ALT), _write(tmp_path / "y.csv", Y_TOY)),
         "runs": (_write(tmp_path / "xu.csv", X_UNI), _write(tmp_path / "yu.csv", Y_UNI)),
     }
+    for size in (200, 50):
+        spec = ScenarioSpec(scenario=0, p=3, m=size, n=size)
+        x, y = simulate.generate_scenario(spec, np.random.default_rng((7, size)))
+        paths = [str(tmp_path / f"{name}{size}.csv") for name in "xy"]
+        for path, arr in zip(paths, (x, y)):
+            cli.write_sample_csv(path, Sample(arr))
+        out[str(size)] = tuple(paths)
+    return out
 
 
-def _cli_test(files, test, *extra):
-    x, y = files["runs" if test == "runs" else "block"]
+def _cli_test(files, test, *extra, sample=None):
+    x, y = files[sample or ("runs" if test == "runs" else "block")]
     return cli.main(["test", "--x", x, "--y", y, "--test", test, *extra])
 
 
 @pytest.mark.parametrize("label", list(PINNED_PAYLOADS))
 def test_cli_test_json_is_pinned(label, files, capsys):
-    test, _, method = label.partition(":")
-    extra = ["--method", method, "--draws", "2000"] if method else []
-    code = _cli_test(files, test, "--decide", *extra)
+    test, _, rest = label.partition(":")
+    method, _, size = rest.partition(":")
+    draws = "200000" if size else "2000"
+    extra = ["--method", method, "--draws", draws] if method else []
+    code = _cli_test(files, test, "--decide", *extra, sample=size or None)
     want_code, payload = PINNED_PAYLOADS[label]
     assert code == want_code
     assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"

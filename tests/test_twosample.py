@@ -378,13 +378,13 @@ class TestRandomizedDecision:
             assert rule.size(pmf) == Fraction(alpha)
 
     def test_achievable_level_needs_no_randomization(self):
-        pmf = Pmf((0, 1, 2), (Fraction(1, 8), Fraction(3, 8), Fraction(4, 8)), 1, 1, "toy")
+        pmf = Pmf((0, 1, 2), (1, 3, 4), 8, 1, 1, "toy")
         rule = build_rejection_rule(pmf, 0.125, "lower")
         assert rule.lower_gamma == 0
         assert rule.lower_critical == 1
 
     def test_degenerate_null_gamma_is_alpha(self):
-        pmf = Pmf((3,), (Fraction(1),), 1, 1, "point")
+        pmf = Pmf((3,), (1,), 1, 1, 1, "point")
         rule = build_rejection_rule(pmf, 0.05, "two-sided")
         assert rule.gamma_at(3) == Fraction(0.05)
         assert rule.size(pmf) == Fraction(0.05)
