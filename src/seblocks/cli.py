@@ -44,33 +44,21 @@ def read_sample_csv(path: str) -> Sample:
     A single leading header row is detected and skipped when any of its
     cells is not numeric.
     """
-    rows = []
     try:
         with open(path, newline="") as handle:
             reader = csv.reader(handle)
             raw = [row for row in reader if row and any(cell.strip() for cell in row)]
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}") from exc
-    if not raw:
-        raise CliError(f"{path}: no data rows")
-
-    def parse(row, lineno):
+    rows = []
+    for lineno, row in enumerate(raw, start=1):
         try:
-            return [float(cell) for cell in row]
+            rows.append([float(cell) for cell in row])
         except ValueError:
-            raise CliError(
-                f"{path}: row {lineno} has a non-numeric cell: {row!r}"
-            ) from None
-
-    start = 0
-    try:
-        first = parse(raw[0], 1)
-        rows.append(first)
-        start = 1
-    except CliError:
-        start = 1  # header row
-    for i, row in enumerate(raw[start:], start=start + 1):
-        rows.append(parse(row, i))
+            if lineno > 1:  # else a header row
+                raise CliError(f"{path}: row {lineno} has a non-numeric cell: {row!r}") from None
+    if not rows:
+        raise CliError(f"{path}: no data rows")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise CliError(f"{path}: rows have inconsistent column counts {sorted(widths)}")
@@ -115,12 +103,6 @@ def _emit_result(payload: dict, fmt: str, out=None):
         raise CliError(f"unknown output format {fmt!r}")
 
 
-def _resolve_method(method: str, m: int, n: int) -> str:
-    if method != "auto":
-        return method
-    return "exact" if math.comb(m + n, n) <= nulldist.enumeration_cap() else "monte_carlo"
-
-
 def cmd_test(args) -> int:
     x = read_sample_csv(args.x)
     y = read_sample_csv(args.y)
@@ -142,11 +124,12 @@ def cmd_test(args) -> int:
     test = twosample.canonical_test(args.test)
 
     meta = {"m": m, "n": n, "p": x.p, "seed": args.seed}
+    ties = dict(on_ties=args.on_ties, seed=args.seed)
     if test == "runs":
         if x.p != 1:
             raise CliError("the runs test needs single-column data")
         try:
-            result = twosample.runs_test(tested, partitioner, args.alternative)
+            result = twosample.runs_test(tested, partitioner, args.alternative, **ties)
         except TieError as exc:
             raise CliError(f"tie-error: {exc}") from exc
     else:
@@ -155,7 +138,7 @@ def cmd_test(args) -> int:
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         try:
-            fitted = fit_partition(plan, partitioner, on_ties=args.on_ties, seed=args.seed)
+            fitted = fit_partition(plan, partitioner, **ties)
         except TieError as exc:
             raise CliError(f"tie-error: {exc}") from exc
         freqs = block_frequencies(fitted, tested)
@@ -172,7 +155,7 @@ def cmd_test(args) -> int:
             )
         meta["plan"] = plan.label.value
         result = twosample.block_test(
-            test, freqs, args.alternative, _resolve_method(args.method, m, n),
+            test, freqs, args.alternative, args.method,
             j=args.j, scores=args.scores or None, n_draws=args.draws, seed=args.seed,
         )
 
@@ -213,7 +196,7 @@ def cmd_dist(args) -> int:
     if entry is None:
         raise CliError(f"unknown statistic {args.statistic!r}; known: {_DIST_STATISTICS}")
     params = entry.params(args.m, args.n, args.j, args.scores or None)
-    method = _resolve_method(args.method, args.m, args.n)
+    method = twosample.null_method(entry, args.m, args.n, params, args.method)
     null = entry.null(args.m, args.n, params, method=method, n_draws=args.draws, seed=args.seed)
     if args.oracle:
         _check_oracle(args, entry, params, null)
@@ -275,11 +258,14 @@ def _load_power_config(path: str) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"{origin}: line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(cfg, dict):
+        raise CliError(f"{origin}: the top level must be a JSON object")
     for key in ("replicates", "seed", "runs"):
         if key not in cfg:
             raise CliError(f"{origin}: missing required key {key!r}")
-    if not isinstance(cfg["runs"], list) or not cfg["runs"]:
-        raise CliError(f"{origin}: 'runs' must be a non-empty list")
+    runs = cfg["runs"]
+    if not isinstance(runs, list) or not runs or not all(isinstance(b, dict) for b in runs):
+        raise CliError(f"{origin}: 'runs' must be a non-empty list of objects")
     if int(cfg["replicates"]) < 1:
         raise CliError(f"{origin}: replicates must be >= 1")
     return cfg

@@ -25,7 +25,6 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "CapacityError",
@@ -55,11 +54,9 @@ class CapacityError(ValueError):
     """Exact enumeration would exceed the configured cap."""
 
 
-def enumeration_cap(cap: int | None = None) -> int:
-    """Resolve the enumeration cap: explicit argument, then the
-    SEBLOCKS_ENUM_CAP environment variable, then the default."""
-    if cap is not None:
-        return int(cap)
+def enumeration_cap() -> int:
+    """The enumeration cap: the SEBLOCKS_ENUM_CAP environment variable,
+    else the default."""
     env = os.environ.get(ENUM_CAP_ENV)
     return int(env) if env else DEFAULT_ENUM_CAP
 
@@ -218,8 +215,11 @@ class NormalNull:
     n: int
     statistic: str
 
-    def _z(self, t) -> float:
-        return (t - self.mean) / math.sqrt(self.variance)
+    def _ndtr(self, sign: int, t) -> float:
+        """Phi(sign * z) at the standardized statistic z."""
+        from scipy.special import ndtr
+
+        return float(ndtr(sign * ((t - self.mean) / math.sqrt(self.variance))))
 
     def _on_mean(self, t) -> bool:
         # without spread, a statistic summed from the scores is the mean up to rounding
@@ -228,12 +228,12 @@ class NormalNull:
     def p_lower(self, t) -> float:
         if self.variance == 0:
             return 1.0 if t >= self.mean or self._on_mean(t) else 0.0
-        return float(ndtr(self._z(t)))
+        return self._ndtr(1, t)
 
     def p_upper(self, t) -> float:
         if self.variance == 0:
             return 1.0 if t <= self.mean or self._on_mean(t) else 0.0
-        return float(ndtr(-self._z(t)))
+        return self._ndtr(-1, t)
 
 
 # matrix cells per chunk of arrangements: 512 KB of keys, small enough
@@ -258,15 +258,15 @@ def _reference_positions(counts: np.ndarray) -> np.ndarray:
     return np.cumsum(counts[..., :n], axis=-1) + np.arange(n)
 
 
-def _arrangement_chunks(m: int, n: int, cap: int | None = None):
+def _arrangement_chunks(m: int, n: int):
     """Every frequency vector, in lexicographic order of the reference
     positions, as (rows, n+1) count matrices of bounded size."""
     _validate_sizes(m, n)
-    total, limit = math.comb(m + n, n), enumeration_cap(cap)
+    total, limit = math.comb(m + n, n), enumeration_cap()
     if total > limit:
         raise CapacityError(
             f"C({m + n}, {n}) = {total} arrangements exceed the enumeration cap {limit}; "
-            "raise the cap or use method='monte_carlo'"
+            f"raise {ENUM_CAP_ENV} or use method='monte_carlo'"
         )
     rows = max(1, _CHUNK_CELLS // (m + n))
     bars = itertools.combinations(range(m + n), n)
@@ -294,12 +294,12 @@ def _sample_arrangements(m: int, n: int, n_draws: int, rng: np.random.Generator)
         del bars
 
 
-def _tally_arrangements(statistic, m: int, n: int, cap: int | None = None) -> dict:
+def _tally_arrangements(statistic, m: int, n: int) -> dict:
     """Number of arrangements per value of ``statistic``, a map from an
     (R, n+1) count matrix to R values (or R rows of values, tallied as
     tuples), over all C(m+n, n) equally likely frequency vectors."""
     tally: dict = {}
-    for counts in _arrangement_chunks(m, n, cap):
+    for counts in _arrangement_chunks(m, n):
         values = statistic(counts)
         values, freq = np.unique(values, axis=0 if values.ndim > 1 else None, return_counts=True)
         for v, k in zip(values.tolist(), freq.tolist()):
@@ -308,14 +308,14 @@ def _tally_arrangements(statistic, m: int, n: int, cap: int | None = None) -> di
     return tally
 
 
-def enumerate_frequency_vectors(m: int, n: int, cap: int | None = None) -> FrequencyEnumeration:
+def enumerate_frequency_vectors(m: int, n: int) -> FrequencyEnumeration:
     """List every frequency vector in lexicographic order.
 
     The i-th gap between successive bar positions in a stars-and-bars
     layout of m stars and n bars gives r_i.
     """
     vectors = tuple(
-        tuple(row) for counts in _arrangement_chunks(m, n, cap) for row in counts.tolist()
+        tuple(row) for counts in _arrangement_chunks(m, n) for row in counts.tolist()
     )
     return FrequencyEnumeration(m, n, vectors)
 
@@ -483,6 +483,11 @@ def _sampled_null(statistic, m: int, n: int, n_draws: int, seed, name: str) -> E
     return EmpiricalNull(values, m, n, name, seed, n_draws)
 
 
+def _is_ranks(scores: np.ndarray) -> bool:
+    """Whether the scores are the ranks 1..m+n (the counted null)."""
+    return np.array_equal(scores, np.arange(1, scores.size + 1, dtype=float))
+
+
 def _rank_sum_rows(counts: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Linear rank statistic of each frequency vector: the total score
     minus the scores at its reference positions.  Observed statistics
@@ -499,7 +504,6 @@ def linear_rank_null(
     *,
     n_draws: int = 200_000,
     seed=0,
-    cap: int | None = None,
 ):
     """Null reference for a linear rank statistic (sum of scores at the
     comparison-sample positions of the pooled arrangement).
@@ -520,9 +524,9 @@ def linear_rank_null(
     method = method.lower()
 
     if method == "exact":
-        if np.array_equal(a, np.arange(1, m + n + 1, dtype=float)):
+        if _is_ranks(a):
             return _wilcoxon_rank_sum_pmf(m, n)
-        tally = _tally_arrangements(lambda c: _rank_sum_rows(c, a), m, n, cap)
+        tally = _tally_arrangements(lambda c: _rank_sum_rows(c, a), m, n)
         return _tallied_pmf(tally, m, n, "linear_rank")
 
     if method == "monte_carlo":
@@ -562,7 +566,6 @@ def dixon_c2_null(
     *,
     n_draws: int = 200_000,
     seed=0,
-    cap: int | None = None,
 ):
     """Null reference for the squared-deviation statistic over uniform
     frequency vectors: exact (enumeration under the cap) or a seeded
@@ -572,7 +575,7 @@ def dixon_c2_null(
     scale = (m * (n + 1)) ** 2
 
     if method == "exact":
-        tally = _tally_arrangements(lambda c: _dixon_rows(c, m, n), m, n, cap)
+        tally = _tally_arrangements(lambda c: _dixon_rows(c, m, n), m, n)
         return _tallied_pmf(tally, m, n, "dixon_c2", lambda s: Fraction(s, scale))
 
     if method == "monte_carlo":

@@ -218,6 +218,12 @@ class TestConfig:
     def label(self) -> str:
         return f"{self.test}[{self.plan}]"
 
+    @property
+    def fitted_plan(self) -> str:
+        """The plan the blocks come from: the label's, but runs counts the
+        runs of the sorted pooled sample, whose order univariate blocks keep."""
+        return "univariate" if self.test == "runs" else self.plan
+
 
 @dataclass(frozen=True)
 class PowerEstimate:
@@ -246,25 +252,13 @@ class PowerEstimate:
 _NULL_SEED_TAG = 714_025  # fixed tag separating null-reference streams
 
 
-def _null_method(test: str, m: int, n: int) -> str:
-    """The harness's null method: the Wilcoxon pmf is exact at every
-    size, the other score families are Monte Carlo at every size, and
-    Dixon is exact while the C(m+n, n) arrangements fit the enumeration
-    cap (the closed forms ignore the method)."""
-    if test in SCORE_TESTS:
-        return "exact" if test == "wilcoxon" else "monte_carlo"
-    return "exact" if math.comb(m + n, n) <= nulldist.enumeration_cap() else "monte_carlo"
-
-
 @lru_cache(maxsize=256)
 def _cached_rule(
     test: str, m: int, n: int, j: int | None, alternative: str,
-    alpha: float, n_draws: int, seed_key: tuple,
+    alpha: float, method: str, n_draws: int, seed_key: tuple,
 ) -> RejectionRule:
     entry, params = twosample.resolve_statistic(test, m, n, j)
-    null = entry.null(
-        m, n, params, method=_null_method(test, m, n), n_draws=n_draws, seed=seed_key, cap=None
-    )
+    null = entry.null(m, n, params, method=method, n_draws=n_draws, seed=seed_key)
     if isinstance(null, nulldist.EmpiricalNull):
         null = null.to_pmf()
     return build_rejection_rule(null, alpha, alternative)
@@ -305,8 +299,8 @@ def _run_replicates(ctx: _StudyContext, start: int, stop: int) -> tuple[np.ndarr
     k_tests = len(ctx.tests)
     rejections = np.zeros(k_tests, dtype=np.int64)
     retries = 0
-    plan_names = sorted({cfg.plan for cfg in ctx.tests if cfg.test != "runs"})
-    has_runs = any(cfg.test == "runs" for cfg in ctx.tests)
+    column_plans = [cfg.fitted_plan for cfg in ctx.tests]
+    plan_names = sorted(set(column_plans))
     for r in range(start, stop):
         for attempt in range(ctx.max_tie_retries + 1):
             rng = np.random.default_rng((ctx.base_seed, r, attempt))
@@ -330,15 +324,12 @@ def _run_replicates(ctx: _StudyContext, start: int, stop: int) -> tuple[np.ndarr
                     freqs[name] = np.asarray(
                         block_frequencies(fitted, x).counts, dtype=np.int64
                     )
-                # runs keeps its raw-sample statistic
-                runs = twosample.runs_statistic(x, y) if has_runs else None
             except TieError:
                 retries += 1
                 continue
-            for i, cfg in enumerate(ctx.tests):
+            for i, plan in enumerate(column_plans):
                 key = (i, swapped)
-                stat = runs if cfg.test == "runs" else ctx.statistics[key](freqs[cfg.plan])
-                if ctx.rules[key].decide(stat, uniforms[i]):
+                if ctx.rules[key].decide(ctx.statistics[key](freqs[plan]), uniforms[i]):
                     rejections[i] += 1
             break
         else:
@@ -387,9 +378,6 @@ def run_power_study(
     tests = tuple(tests)
     if not tests:
         raise ValueError("need at least one test configuration")
-    for cfg in tests:
-        if cfg.test == "runs" and spec.p != 1:
-            raise ValueError("the runs test is univariate; use p=1")
 
     # size pairs seen by the tests: (tested, reference) for both role
     # assignments
@@ -398,17 +386,13 @@ def run_power_study(
         orientations.add((spec.n, spec.m))
 
     plans = {}
-    for cfg in tests:
-        if cfg.test == "runs":
-            continue
+    for name in sorted({cfg.fitted_plan for cfg in tests}):
         for _, n_eff in orientations:
             directions = (False, True) if (
-                randomize_directions and cfg.plan in _DIRECTION_RANDOMIZED
+                randomize_directions and name in _DIRECTION_RANDOMIZED
             ) else (False,)
             for down in directions:
-                key = (cfg.plan, n_eff, down)
-                if key not in plans:
-                    plans[key] = _oriented_plan(cfg.plan, spec.p, n_eff, down)
+                plans[(name, n_eff, down)] = _oriented_plan(name, spec.p, n_eff, down)
 
     # rules and statistics per (test index, roles swapped), each bound
     # once with its sizes, parameters and scores
@@ -417,13 +401,13 @@ def run_power_study(
         for m_eff, n_eff in orientations:
             key = (i, (m_eff, n_eff) != (spec.m, spec.n))
             seed_key = (base_seed, _NULL_SEED_TAG, i, m_eff, n_eff)
+            entry, params = twosample.resolve_statistic(cfg.test, m_eff, n_eff, cfg.j)
+            method = twosample.null_method(entry, m_eff, n_eff, params, enumerate_scores=False)
             rules[key] = _cached_rule(
-                cfg.test, m_eff, n_eff, cfg.j, cfg.alternative, alpha, n_null_draws, seed_key
+                cfg.test, m_eff, n_eff, cfg.j, cfg.alternative, alpha, method, n_null_draws,
+                seed_key,
             )
-            if cfg.test != "runs":
-                entry, params = twosample.resolve_statistic(cfg.test, m_eff, n_eff, cfg.j)
-                exact = _null_method(cfg.test, m_eff, n_eff) == "exact"
-                statistics[key] = entry.bind(m_eff, n_eff, params, exact)
+            statistics[key] = entry.bind(m_eff, n_eff, params, method == "exact")
     if spec.m == spec.n and randomize_roles:
         # same sizes either way; both orientations share the rules
         for table in (rules, statistics):

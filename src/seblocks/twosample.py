@@ -20,10 +20,9 @@ from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr, ndtri
 
-from .partition import BlockFrequencies, TieError, _as_points
-from . import nulldist
+from .partition import BlockFrequencies, TieError
+from . import nulldist, partition
 from .nulldist import EmpiricalNull, Pmf
 
 __all__ = [
@@ -45,6 +44,7 @@ __all__ = [
     "canonical_test",
     "statistic_entry",
     "resolve_statistic",
+    "null_method",
     "block_test",
     "linear_rank_test",
     "precedence_test",
@@ -116,6 +116,8 @@ def expected_normal_order_scores(size: int) -> tuple[float, ...]:
     At large sizes the error is a relative 1e-10 or less, set by the
     rounding of the gammaln terms (each near size * log(size)) in c_i.
     """
+    from scipy.special import gammaln, log_ndtr
+
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     steps = math.ceil(2 * _TH_HALF_WIDTH / min(0.01, 1 / math.sqrt(size)))
@@ -177,14 +179,15 @@ def make_scores(family: ScoreFamily | str, m: int, n: int) -> ScoreVector:
     ranks = np.arange(1, size + 1, dtype=float)
     if family is ScoreFamily.WILCOXON:
         a = ranks
-    elif family is ScoreFamily.VAN_DER_WAERDEN:
+    elif family in (ScoreFamily.VAN_DER_WAERDEN, ScoreFamily.KLOTZ):
+        from scipy.special import ndtri
+
         a = ndtri(ranks / (size + 1))
+        a = a**2 if family is ScoreFamily.KLOTZ else a
     elif family is ScoreFamily.TERRY_HOEFFDING:
         a = np.array(expected_normal_order_scores(size))
     elif family is ScoreFamily.MOOD:
         a = (ranks - (size + 1) / 2) ** 2
-    elif family is ScoreFamily.KLOTZ:
-        a = ndtri(ranks / (size + 1)) ** 2
     elif family is ScoreFamily.SIEGEL_TUKEY:
         a = _siegel_tukey_scores(size)
     else:
@@ -372,7 +375,7 @@ class BlockStatistic:
     ``value(v, m, n, params, exact)`` turns one value into the reported
     statistic, typed like the atoms of the null (``exact``: the null is
     the exact law, not a Monte Carlo one).  ``null(m, n, params,
-    method=, n_draws=, seed=, cap=)`` builds the null reference; entries
+    method=, n_draws=, seed=)`` builds the null reference; entries
     without ``methods`` ignore the keywords, their closed forms are
     always exact.  ``params(m, n, j, scores)`` applies the parameter
     defaults and range checks.  ``alternative`` is the default
@@ -506,6 +509,36 @@ def resolve_statistic(test: str, m: int, n: int, j=None, scores=None):
     return entry, entry.params(m, n, j, scores)
 
 
+# m * n * min(m, n), the rank-sum count's cost, at which it takes as long as
+# 200,000 Monte Carlo draws (m = n near 340 on a 2-core x86 machine)
+_RANK_COUNT_LIMIT = 40_000_000
+
+
+def null_method(
+    entry: BlockStatistic, m: int, n: int, params, method: str = "auto",
+    *, enumerate_scores: bool = True,
+) -> str:
+    """The null a test of ``entry`` builds: ``exact`` for the closed
+    forms, which take no method, else ``method`` unless it is ``auto``.
+
+    Under ``auto`` the null of the rank scores 1..m+n is exact while
+    m * n * min(m, n) is at most ``_RANK_COUNT_LIMIT``, any other while
+    C(m+n, n) fits the enumeration cap, and Monte Carlo beyond these.
+    ``enumerate_scores=False`` (the power harness) draws the other score
+    families by Monte Carlo at every size.
+    """
+    if not entry.methods:
+        return "exact"
+    if method != "auto":
+        return method
+    if isinstance(params, ScoreVector):
+        if nulldist._is_ranks(params.scores) and m * n * min(m, n) <= _RANK_COUNT_LIMIT:
+            return "exact"
+        if not enumerate_scores:
+            return "monte_carlo"
+    return "exact" if math.comb(m + n, n) <= nulldist.enumeration_cap() else "monte_carlo"
+
+
 def block_test(
     test: str,
     freqs: BlockFrequencies,
@@ -516,24 +549,23 @@ def block_test(
     scores=None,
     n_draws: int = 200_000,
     seed=0,
-    cap: int | None = None,
 ) -> TestResult:
     """Test a statistic of the block frequencies against its null.
 
     ``test`` is a name of ``STATISTICS`` or a score-test name; ``j`` and
-    ``scores`` go to the entries that take them, and ``method``,
-    ``n_draws``, ``seed`` and ``cap`` to the nulls that are not closed
-    forms.  The alternative defaults to the entry's.
+    ``scores`` go to the entries that take them, and ``method`` (resolved
+    by ``null_method``), ``n_draws`` and ``seed`` to the nulls that are
+    not closed forms.  The alternative defaults to the entry's.
     """
     m, n = freqs.m, freqs.n
     entry, params = resolve_statistic(test, m, n, j, scores)
     if entry.alternative is None:
         raise ValueError(f"{entry.name} is a joint distribution without a test")
     alternative = _check_alternative(alternative or entry.alternative)
-    null = entry.null(m, n, params, method=method, n_draws=n_draws, seed=seed, cap=cap)
+    method = null_method(entry, m, n, params, method)
+    null = entry.null(m, n, params, method=method, n_draws=n_draws, seed=seed)
     stat = entry.observe(m, n, params, isinstance(null, Pmf), np.asarray(freqs.counts))
     name, meta = entry.describe(params)
-    method = method if entry.methods else "exact"
     return _result(stat, name, null, alternative, method, {"m": m, "n": n, **meta})
 
 
@@ -545,7 +577,6 @@ def linear_rank_test(
     *,
     n_draws: int = 200_000,
     seed=0,
-    cap: int | None = None,
 ) -> TestResult:
     """Linear rank test T = sum of scores at comparison positions of the
     arrangement rebuilt from block frequencies.
@@ -553,7 +584,7 @@ def linear_rank_test(
     With rank scores 1..(m+n) the statistic is the rank sum, which also
     equals m(m+1)/2 plus the placement sum ``mann_whitney_u``.
     """
-    kw = dict(scores=scores, n_draws=n_draws, seed=seed, cap=cap)
+    kw = dict(scores=scores, n_draws=n_draws, seed=seed)
     return block_test("linear_rank", freqs, alternative, method, **kw)
 
 
@@ -587,44 +618,39 @@ def dixon_c2_test(
     *,
     n_draws: int = 200_000,
     seed=0,
-    cap: int | None = None,
 ) -> TestResult:
     """Sum of squared deviations of block shares from 1/(n+1); heavy
     concentration in a few blocks inflates it."""
-    kw = dict(n_draws=n_draws, seed=seed, cap=cap)
-    return block_test("dixon_c2", freqs, alternative, method, **kw)
+    return block_test("dixon_c2", freqs, alternative, method, n_draws=n_draws, seed=seed)
+
+
+def _univariate_frequencies(x, y, on_ties: str = "error", seed=None) -> BlockFrequencies:
+    """Frequencies of univariate x in the ascending blocks of y, whose
+    order is that of the sorted pooled sample.  Ties within y go to
+    ``fit_partition``; a value shared by both samples has no unambiguous
+    place in that order and raises."""
+    xp, yp = partition._as_points(x), partition._as_points(y)
+    if xp.shape[1] != 1 or yp.shape[1] != 1:
+        raise ValueError("runs test is univariate only")
+    plan = partition.make_univariate_plan(yp.shape[0])
+    freqs = partition.block_frequencies(partition.fit_partition(plan, yp, on_ties, seed), xp)
+    if freqs.boundary_ties:
+        raise TieError("cross-sample tied values; the runs count is undefined")
+    return freqs
 
 
 def runs_statistic(x, y) -> int:
-    """Number of maximal same-sample runs in the sorted pooled sample.
-
-    Univariate only; a value shared by both samples has no unambiguous
-    ordering, so cross-sample ties raise.
-    """
-    xp = _as_points(x)
-    yp = _as_points(y)
-    if xp.shape[1] != 1 or yp.shape[1] != 1:
-        raise ValueError("runs test is univariate only")
-    xv = xp.reshape(-1)
-    yv = yp.reshape(-1)
-    if np.intersect1d(xv, yv).size:
-        raise TieError("cross-sample tied values; the runs count is undefined")
-    pooled = np.concatenate([xv, yv])
-    labels = np.concatenate([np.ones(xv.size, dtype=np.int8), np.zeros(yv.size, dtype=np.int8)])
-    order = np.argsort(pooled, kind="stable")
-    lab = labels[order]
-    return int(1 + (lab[1:] != lab[:-1]).sum())
+    """Number of maximal same-sample runs in the sorted pooled sample,
+    the table's ``runs`` statistic of the univariate blocks of y."""
+    freqs = _univariate_frequencies(x, y)
+    return STATISTICS["runs"].observe(freqs.m, freqs.n, None, True, np.asarray(freqs.counts))
 
 
-def runs_test(x, y, alternative: str | None = None) -> TestResult:
-    """Classical univariate runs test on the raw samples; few runs mean
-    poorly mixed samples, so the lower tail rejects."""
-    entry = STATISTICS["runs"]
-    alternative = _check_alternative(alternative or entry.alternative)
-    stat = runs_statistic(x, y)
-    m, n = _as_points(x).shape[0], _as_points(y).shape[0]
-    null = entry.null(m, n, None)
-    return _result(stat, entry.name, null, alternative, "exact", {"m": m, "n": n})
+def runs_test(x, y, alternative: str | None = None, *, on_ties="error", seed=None) -> TestResult:
+    """Classical univariate runs test on the raw samples, through their
+    univariate blocks; few runs mean poorly mixed samples, so the lower
+    tail rejects.  ``on_ties`` and ``seed`` go to ``fit_partition``."""
+    return block_test("runs", _univariate_frequencies(x, y, on_ties, seed), alternative)
 
 
 # --- randomized decisions -------------------------------------------------

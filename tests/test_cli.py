@@ -86,6 +86,25 @@ class TestTestCommand:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["statistic"] == 5
 
+    def test_header_only_csv_has_no_data_rows(self, tmp_path, capsys):
+        x = tmp_path / "hdr.csv"
+        x.write_text("a,b\n")
+        y = write_csv(tmp_path / "y.csv", Y_TOY)
+        assert cli.main(["test", "--x", str(x), "--y", y]) == 1
+        assert capsys.readouterr().err == f"error: {x}: no data rows\n"
+
+    @pytest.mark.parametrize("flags, code", [([], 1), (["--on-ties", "perturb"], 0)])
+    def test_runs_and_a_tie_inside_the_reference_sample(self, tmp_path, capsys, flags, code):
+        x = write_csv(tmp_path / "x.csv", [[0.5], [2.5]])
+        y = write_csv(tmp_path / "y.csv", [[1.0], [1.0], [3.0]])
+        assert cli.main(["test", "--x", x, "--y", y, "--test", "runs", *flags]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert "tie-error" in err
+        else:
+            # 0.5 lies below both copies of 1.0, 2.5 between them and 3.0
+            assert json.loads(out)["statistic"] == 4
+
     def test_table_and_csv_output(self, toy_files, capsys):
         x, y = toy_files
         assert cli.main(["test", "--x", x, "--y", y, "--output", "table"]) == 0
@@ -268,6 +287,16 @@ class TestPowerCommand:
         path.write_text(json.dumps({"m": 5}))
         assert cli.main(["power", "--config", str(path)]) == 1
         assert "replicates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("5", "the top level must be a JSON object"),
+        ('{"replicates": 2, "seed": 1, "runs": [5]}', "'runs' must be a non-empty list of objects"),
+    ])
+    def test_malformed_config_is_one_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert cli.main(["power", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     def test_shipped_configs_resolve(self):
         for name in ("tables_6_8_spotcheck", "tables_6_8_full"):

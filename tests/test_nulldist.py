@@ -61,7 +61,7 @@ class TestEnumeration:
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            enumerate_frequency_vectors(100, 100, cap=1000)
+            enumerate_frequency_vectors(100, 100)
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("SEBLOCKS_ENUM_CAP", "3")

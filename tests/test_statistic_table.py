@@ -143,6 +143,16 @@ PINNED_PAYLOADS = {
         "scores": "wilcoxon", "p": 3, "seed": 0, "plan": "spiral", "null": "exact",
         "null_atoms": 40001, "alpha": 0.05, "reject": False, "gamma": 0.0,
     }),
+    # --method auto: the rank-sum null is counted exactly at this size, so
+    # this is the payload of --method exact above
+    "wilcoxon::200": (0, {
+        "statistic": 40523, "statistic_name": "linear_rank[wilcoxon]",
+        "p_lower": 0.6427838395365749, "p_upper": 0.35753861539908255,
+        "p_two_sided": 0.7150772307981651, "p_value": 0.7150772307981651,
+        "alternative": "two-sided", "method": "exact", "m": 200, "n": 200,
+        "scores": "wilcoxon", "p": 3, "seed": 0, "plan": "spiral", "null": "exact",
+        "null_atoms": 40001, "alpha": 0.05, "reject": False, "gamma": 0.0,
+    }),
     "terry_hoeffding:monte_carlo:50": (0, {
         "statistic": 4.839253069217892, "statistic_name": "linear_rank[terry_hoeffding]",
         "p_lower": 0.83431, "p_upper": 0.16569, "p_two_sided": 0.33138, "p_value": 0.33138,
@@ -171,13 +181,94 @@ def _studies():
     ]
 
 
+# The null method each caller chose under auto before one policy made
+# the choice: (the CLI's, the harness's), recorded from the two functions
+# that made it; a closed form builds its exact law whatever it is asked.
+PINNED_METHODS = {
+    ("wilcoxon", 9, 7): ("exact", "exact"),
+    ("wilcoxon", 20, 20): ("monte_carlo", "exact"),
+    ("wilcoxon", 200, 200): ("monte_carlo", "exact"),
+    ("wilcoxon", 500, 500): ("monte_carlo", "exact"),
+    ("wilcoxon", 1000, 100): ("monte_carlo", "exact"),
+    ("van_der_waerden", 9, 7): ("exact", "monte_carlo"),
+    ("van_der_waerden", 20, 20): ("monte_carlo", "monte_carlo"),
+    ("van_der_waerden", 200, 200): ("monte_carlo", "monte_carlo"),
+    ("dixon_c2", 9, 7): ("exact", "exact"),
+    ("dixon_c2", 20, 20): ("monte_carlo", "monte_carlo"),
+    ("dixon_c2", 200, 200): ("monte_carlo", "monte_carlo"),
+    ("empty_block", 9, 7): ("exact", "exact"),
+    ("empty_block", 20, 20): ("exact", "exact"),
+    ("empty_block", 200, 200): ("exact", "exact"),
+}
+# the changes: the CLI counts the rank-sum null exactly above the cap,
+# while m * n * min(m, n) is at most 4e7, and both callers draw it by
+# Monte Carlo above that, where counting takes longer than the draws
+CLI_METHOD_CHANGES = {
+    ("wilcoxon", 20, 20): "exact", ("wilcoxon", 200, 200): "exact", ("wilcoxon", 1000, 100): "exact",
+}
+HARNESS_METHOD_CHANGES = {("wilcoxon", 500, 500): "monte_carlo"}
+
+
+@pytest.mark.parametrize("test, m, n", list(PINNED_METHODS))
+def test_one_policy_makes_both_callers_choices(test, m, n):
+    entry, params = twosample.resolve_statistic(test, m, n)
+    cli_method, harness_method = PINNED_METHODS[test, m, n]
+    assert twosample.null_method(entry, m, n, params) == CLI_METHOD_CHANGES.get(
+        (test, m, n), cli_method
+    )
+    assert _harness_method(test, m, n) == HARNESS_METHOD_CHANGES.get((test, m, n), harness_method)
+
+
+def test_rank_count_limit_is_on_the_cube_of_the_sizes():
+    entry, params = twosample.resolve_statistic("wilcoxon", 341, 341)
+    assert 341**3 <= twosample._RANK_COUNT_LIMIT < 342**3
+    assert twosample.null_method(entry, 341, 341, params) == "exact"
+    entry, params = twosample.resolve_statistic("wilcoxon", 342, 342)
+    assert twosample.null_method(entry, 342, 342, params) == "monte_carlo"
+    assert twosample.null_method(entry, 342, 342, params, "exact") == "exact"
+
+
+def test_policy_reads_the_scores_and_passes_a_named_method():
+    entry, params = twosample.resolve_statistic("wilcoxon", 200, 200, scores="van_der_waerden")
+    assert twosample.null_method(entry, 200, 200, params) == "monte_carlo"
+    entry, params = twosample.resolve_statistic("linear_rank", 200, 200, scores=np.arange(400) + 1)
+    assert twosample.null_method(entry, 200, 200, params) == "exact"
+    assert twosample.null_method(entry, 200, 200, params, "normal") == "normal"
+    entry, params = twosample.resolve_statistic("precedence", 9, 7)
+    assert twosample.null_method(entry, 9, 7, params, "monte_carlo") == "exact"
+
+
+def _harness_method(test, m, n):
+    """The harness's null method, from the one policy."""
+    entry, params = twosample.resolve_statistic(test, m, n)
+    return twosample.null_method(entry, m, n, params, enumerate_scores=False)
+
+
 def test_power_rejections_are_pinned():
-    assert simulate._null_method("dixon_c2", 9, 7) == "exact"
-    assert simulate._null_method("dixon_c2", 20, 20) == "monte_carlo"
+    assert _harness_method("dixon_c2", 9, 7) == "exact"
+    assert _harness_method("dixon_c2", 20, 20) == "monte_carlo"
     for key, spec, tests in _studies():
         est = run_power_study(spec, tests, 0.05, 80, 5, n_null_draws=2000)
         assert [e.rejections for e in est] == PINNED_REJECTIONS[key], key
         assert est[0].tie_retries == 0
+
+
+# Rejections and labels of runs columns at p = 1, recorded when the
+# harness still counted runs by sorting the pooled raw sample.
+PINNED_RUNS_COLUMNS = [
+    (ScenarioSpec(scenario=3, c=3.0, p=1, m=15, n=12), 0.1, [46, 46, 45]),
+    (ScenarioSpec(scenario=1, c=1.0, p=1, m=12, n=9), 0.1, [27, 28, 27]),
+    (ScenarioSpec(scenario=0, p=1, m=9, n=11), 0.2, [43, 43, 42]),
+]
+
+
+@pytest.mark.parametrize("spec, alpha, rejections", PINNED_RUNS_COLUMNS)
+def test_runs_columns_keep_their_label_and_rejections(spec, alpha, rejections):
+    tests = [TestConfig("runs"), TestConfig("runs", "stairstep"), TestConfig("runs", "univariate")]
+    est = run_power_study(spec, tests, alpha, 200, 3, n_null_draws=2000)
+    assert [(e.rejections, e.plan) for e in est] == list(
+        zip(rejections, ["spiral", "stairstep", "univariate"])
+    )
 
 
 def _write(path, rows):
@@ -263,7 +354,7 @@ def test_observed_statistics_are_atoms_of_the_monte_carlo_null(test, m, n):
     atoms = set(null.to_pmf().support)
     rng = np.random.default_rng(9)
     counts = np.concatenate(list(nulldist._sample_arrangements(m, n, 400, rng)))
-    observe = entry.bind(m, n, params, simulate._null_method(test, m, n) == "exact")
+    observe = entry.bind(m, n, params, _harness_method(test, m, n) == "exact")
     assert all(observe(row) in atoms for row in counts)
     for row in counts[:50]:
         freqs = BlockFrequencies(tuple(row.tolist()), m, n)

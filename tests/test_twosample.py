@@ -165,18 +165,38 @@ class TestNormalFormsWithoutScipyStats:
             assert null.p_lower(t) == float(norm.cdf(t, loc=null.mean, scale=scale))
             assert null.p_upper(t) == float(norm.sf(t, loc=null.mean, scale=scale))
 
-    def test_cli_import_loads_no_scipy_stats_or_integrate(self):
+    @staticmethod
+    def _fresh_python(code: str) -> str:
+        """Last line printed by ``code`` in a new interpreter."""
         src = str(Path(seblocks.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        code = (
-            "import sys, seblocks.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
-        )
         out = subprocess.run(
             [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
             capture_output=True, text=True, check=True,
         )
-        assert out.stdout.strip() == "[]"
+        return out.stdout.strip().splitlines()[-1]
+
+    def test_cli_import_loads_no_scipy_stats_or_integrate(self):
+        code = (
+            "import sys, seblocks.cli; print(sorted(m for m in "
+            "('scipy.stats', 'scipy.integrate', 'scipy.special') if m in sys.modules))"
+        )
+        assert self._fresh_python(code) == "[]"
+
+    def test_empty_block_and_exact_wilcoxon_calls_load_no_scipy_special(self, tmp_path):
+        rng = np.random.default_rng(4)
+        files = []
+        for name, size in (("x", 30), ("y", 20)):
+            files.append(str(tmp_path / f"{name}.csv"))
+            np.savetxt(files[-1], rng.standard_normal((size, 2)), delimiter=",")
+        x, y = files
+        code = (
+            "import sys; from seblocks import cli; "
+            f"codes = [cli.main(['test', '--x', {x!r}, '--y', {y!r}, '--test', t]) "
+            "for t in ('empty_block', 'wilcoxon')]; "
+            "print(codes, 'scipy.special' in sys.modules)"
+        )
+        assert self._fresh_python(code) == "[0, 0] False"
 
 
 class TestIndicatorVector:
@@ -331,7 +351,60 @@ class TestBlockSummaryTests:
         assert 0 <= res.p_upper <= 1
 
 
+def _sorted_pooled_runs(x, y) -> int:
+    """Runs of the pooled sample, counted by sorting the raw values: the
+    oracle for the count from the univariate blocks."""
+    xv, yv = np.asarray(x, float).reshape(-1), np.asarray(y, float).reshape(-1)
+    if np.intersect1d(xv, yv).size:
+        raise TieError("cross-sample tied values; the runs count is undefined")
+    labels = np.concatenate([np.ones(xv.size, np.int8), np.zeros(yv.size, np.int8)])
+    lab = labels[np.argsort(np.concatenate([xv, yv]), kind="stable")]
+    return int(1 + (lab[1:] != lab[:-1]).sum())
+
+
 class TestRuns:
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_block_count_matches_the_sorted_pooled_sample(self, integer):
+        rng = np.random.default_rng(23)
+        seen = {"equal": 0, "cross tie": 0, "reference tie": 0}
+        for _ in range(1500):
+            m, n = (int(v) for v in rng.integers(1, 15, size=2))
+            if integer:
+                x, y = (rng.integers(0, 6 * (m + n), k).astype(float) for k in (m, n))
+            else:
+                x, y = rng.standard_normal(m), rng.standard_normal(n)
+            if np.intersect1d(x, y).size:
+                seen["cross tie"] += 1
+                for count in (runs_statistic, _sorted_pooled_runs):
+                    with pytest.raises(TieError):
+                        count(x, y)
+            elif np.unique(y).size < n:
+                seen["reference tie"] += 1
+                with pytest.raises(TieError):
+                    runs_statistic(x, y)
+            else:
+                seen["equal"] += 1
+                assert runs_statistic(x, y) == _sorted_pooled_runs(x, y)
+                assert runs_test(x, y).statistic == runs_statistic(x, y)
+        assert seen["equal"] >= 500
+        if integer:
+            assert min(seen.values()) >= 100, seen
+
+    def test_tie_inside_the_reference_sample_raises(self):
+        # the sorted count of the raw values has an answer; a block test does not
+        x, y = [0.5, 2.5], [1.0, 1.0, 3.0]
+        assert _sorted_pooled_runs(x, y) == 4
+        for call in (runs_statistic, runs_test):
+            with pytest.raises(TieError, match="tied projected values"):
+                call(x, y)
+        assert runs_test(x, y, on_ties="perturb").statistic == 4
+
+    def test_univariate_only(self):
+        x, y = np.zeros((3, 2)), np.ones((4, 2))
+        for call in (runs_statistic, runs_test):
+            with pytest.raises(ValueError, match="runs test is univariate only"):
+                call(x, y)
+
     def test_mixed_cauchy_example(self):
         x = Sample([-4.62, -1.56, -0.21, 0.13, 0.27])
         y = Sample([-0.36, 0.00, 0.75, 3.32])
