@@ -30,7 +30,9 @@ __all__ = [
     "CutRule",
     "PartitionPlan",
     "FittedPartition",
+    "FittedBatch",
     "BlockFrequencies",
+    "FrequencyBatch",
     "make_univariate_plan",
     "make_stairstep_plan",
     "make_spiral_plan",
@@ -137,6 +139,23 @@ class PartitionPlan:
     @property
     def n_blocks(self) -> int:
         return self.n + 1
+
+    @cached_property
+    def _columns(self) -> np.ndarray:
+        """0-based coordinate of each cut."""
+        return np.array([rule.component - 1 for rule in self.cuts], dtype=np.intp)
+
+    @cached_property
+    def _used_columns(self) -> list[int]:
+        return sorted({rule.component - 1 for rule in self.cuts})
+
+    @cached_property
+    def _cut_pairs(self) -> tuple[tuple, tuple[int, ...]]:
+        """The distinct (column, is_min) pairs the cuts use, and each
+        cut's index into them."""
+        keys = [(rule.component - 1, rule.direction is Direction.MIN) for rule in self.cuts]
+        pairs = tuple(sorted(set(keys)))
+        return pairs, tuple(pairs.index(key) for key in keys)
 
 
 def make_univariate_plan(n: int, ascending: bool = True) -> PartitionPlan:
@@ -306,18 +325,24 @@ class FittedPartition:
         return self.plan.n + 1
 
     @cached_property
-    def _columns(self) -> np.ndarray:
-        return np.array([rule.component - 1 for rule in self.plan.cuts], dtype=np.intp)
-
-    @cached_property
-    def _is_min(self) -> np.ndarray:
-        return np.array(
-            [rule.direction is Direction.MIN for rule in self.plan.cuts], dtype=bool
-        )
-
-    @cached_property
     def _thresholds(self) -> np.ndarray:
-        return np.asarray(self.thresholds, dtype=float)
+        return np.asarray(self.thresholds, dtype=float).reshape(1, -1)
+
+
+@dataclass(frozen=True, eq=False)
+class FittedBatch:
+    """R reference samples bound to one plan at once.
+
+    Row r of the (R, n) arrays ``thresholds`` and ``cut_point_indices``
+    is what ``fit_partition`` gives for sample r alone.  ``tied[r]``
+    marks a sample with tied values in a projected coordinate; its row
+    is not a valid fit.
+    """
+
+    plan: PartitionPlan
+    thresholds: np.ndarray
+    cut_point_indices: np.ndarray
+    tied: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -346,7 +371,19 @@ class BlockFrequencies:
         object.__setattr__(self, "counts", counts)
 
 
+@dataclass(frozen=True, eq=False)
+class FrequencyBatch:
+    """Block counts of R comparison samples against a ``FittedBatch``:
+    row r of the (R, n + 1) ``counts`` and of the (R,) ``boundary_ties``
+    is what ``block_frequencies`` gives for pair r alone."""
+
+    counts: np.ndarray
+    boundary_ties: np.ndarray
+
+
 def _as_points(data, p: int | None = None) -> np.ndarray:
+    """Coordinates as a float array of shape (size, p), or (R, size, p)
+    for a stacked batch of samples; a 1-D input is univariate data."""
     if isinstance(data, Sample):
         pts = data.points
     else:
@@ -355,8 +392,10 @@ def _as_points(data, p: int | None = None) -> np.ndarray:
             raise ValueError("data contains non-finite coordinates")
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
-    if p is not None and pts.shape[1] != p:
-        raise ValueError(f"dimension mismatch: data has p={pts.shape[1]}, plan has p={p}")
+    if pts.ndim not in (2, 3):
+        raise ValueError(f"points must be 1-D, 2-D or a stacked 3-D batch, got ndim={pts.ndim}")
+    if p is not None and pts.shape[-1] != p:
+        raise ValueError(f"dimension mismatch: data has p={pts.shape[-1]}, plan has p={p}")
     return pts
 
 
@@ -388,12 +427,73 @@ def _separate_duplicates(pts: np.ndarray, components: Iterable[int], rng) -> np.
     return pts
 
 
+def _fit_kernel(plan: PartitionPlan, pts: np.ndarray):
+    """Fit R reference samples, an (R, n, p) array, in one pass.
+
+    Returns the (R, n) thresholds, the (R, n) cut-point rows, and an
+    (R,) mask of samples with tied values in a projected coordinate.
+    Each cut is one ``argmin`` over every sample's rows still alive.
+    """
+    r_count, n = pts.shape[:2]
+    ordered = np.sort(pts[:, :, plan._used_columns], axis=1)
+    tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=(1, 2))
+    # one working copy per (column, direction) the cuts use; MAX columns
+    # are negated so every cut takes a minimum, excluded rows read +inf
+    pairs, slots = plan._cut_pairs
+    work = np.empty((len(pairs), r_count, n))
+    for j, (col, is_min) in enumerate(pairs):
+        np.multiply(pts[:, :, col], 1.0 if is_min else -1.0, out=work[j])
+    rows = np.arange(r_count)
+    picks = np.empty((n, r_count), dtype=np.intp)
+    for k, j in enumerate(slots):
+        picks[k] = pick = work[j].argmin(axis=1)
+        work[:, rows, pick] = np.inf
+    picks = picks.T
+    return pts[rows[:, None], picks, plan._columns], picks, tied
+
+
+def _assign_kernel(plan: PartitionPlan, thresholds: np.ndarray, pts: np.ndarray):
+    """Assign R comparison samples, an (R, m, p) array, to the blocks
+    of R fits with (R, n) ``thresholds``.
+
+    Returns the (R, m) 0-based block ids and the (R, m) mask of points
+    that sit exactly on the threshold of the cut that closed them.  Each
+    cut compares every point once; the cuts run last to first, so a
+    point keeps the first cut that closes it, or the residual block n.
+    """
+    n = plan.n
+    coords = np.moveaxis(pts, 2, 0)
+    limits = thresholds.T[:, :, None]
+    blocks = np.full(pts.shape[:2], n, dtype=np.intp)
+    closes = np.empty(pts.shape[:2], dtype=bool)
+    pairs, slots = plan._cut_pairs
+    for k in range(n - 1, -1, -1):
+        col, is_min = pairs[slots[k]]
+        (np.less_equal if is_min else np.greater_equal)(coords[col], limits[k], out=closes)
+        np.copyto(blocks, k, where=closes)
+    # a point of the residual block escaped cut n - 1, so it never
+    # equals that cut's threshold
+    rows = np.arange(pts.shape[0])[:, None]
+    cut = np.minimum(blocks, n - 1)
+    values = pts[rows, np.arange(pts.shape[1]), plan._columns[cut]]
+    return blocks, values == thresholds[rows, cut]
+
+
+def _block_counts(blocks: np.ndarray, n: int) -> np.ndarray:
+    """(R, n + 1) block counts of (R, m) block ids, in one ``bincount``."""
+    r_count = blocks.shape[0]
+    offsets = (n + 1) * np.arange(r_count)[:, None]
+    return np.bincount((blocks + offsets).ravel(), minlength=r_count * (n + 1)).reshape(
+        r_count, n + 1
+    )
+
+
 def fit_partition(
     plan: PartitionPlan,
     y,
     on_ties: str = "error",
     seed: int | None = None,
-) -> FittedPartition:
+) -> FittedPartition | FittedBatch:
     """Bind a plan to a reference sample of exactly n points.
 
     At step k all not-yet-excluded reference points are projected onto
@@ -402,36 +502,34 @@ def fit_partition(
     values within every projected coordinate (ties void the coverage
     law); ``on_ties='perturb'`` separates duplicates deterministically
     instead of raising.
+
+    A stacked (R, n, p) array of R reference samples is fitted in one
+    kernel call and gives a ``FittedBatch``.  A batch never raises on
+    ties: its tied samples are marked in ``tied``.  Perturbation takes
+    one sample at a time.
     """
+    if on_ties not in ("error", "perturb"):
+        raise ValueError(f"on_ties must be 'error' or 'perturb', got {on_ties!r}")
     pts = _as_points(y, plan.p)
-    if pts.shape[0] != plan.n:
+    if pts.shape[-2] != plan.n:
         raise ValueError(
-            f"reference sample has {pts.shape[0]} points, plan expects {plan.n}"
+            f"reference sample has {pts.shape[-2]} points, plan expects {plan.n}"
         )
-    used = sorted({rule.component - 1 for rule in plan.cuts})
-    dup_cols = [c for c in used if np.unique(pts[:, c]).size < pts.shape[0]]
-    if dup_cols:
+    if pts.ndim == 3:
         if on_ties == "perturb":
-            rng = np.random.default_rng(seed)
-            pts = _separate_duplicates(pts, dup_cols, rng)
-        elif on_ties == "error":
+            raise ValueError("on_ties='perturb' takes one reference sample, not a stacked batch")
+        return FittedBatch(plan, *_fit_kernel(plan, pts))
+    thresholds, picks, tied = _fit_kernel(plan, pts[None])
+    if tied[0]:
+        dup_cols = [c for c in plan._used_columns if np.unique(pts[:, c]).size < plan.n]
+        if on_ties == "error":
             raise TieError(
                 f"tied projected values on coordinate {dup_cols[0] + 1}; "
                 "the construction assumes continuity (use on_ties='perturb' to break ties)"
             )
-        else:
-            raise ValueError(f"on_ties must be 'error' or 'perturb', got {on_ties!r}")
-
-    alive = np.arange(plan.n)
-    thresholds = np.empty(plan.n)
-    cut_points = np.empty(plan.n, dtype=int)
-    for k, rule in enumerate(plan.cuts):
-        proj = pts[alive, rule.component - 1]
-        pos = int(np.argmin(proj) if rule.direction is Direction.MIN else np.argmax(proj))
-        thresholds[k] = proj[pos]
-        cut_points[k] = alive[pos]
-        alive = np.delete(alive, pos)
-    return FittedPartition(plan, tuple(thresholds.tolist()), tuple(cut_points.tolist()))
+        pts = _separate_duplicates(pts, dup_cols, np.random.default_rng(seed))
+        thresholds, picks, _ = _fit_kernel(plan, pts[None])
+    return FittedPartition(plan, tuple(thresholds[0].tolist()), tuple(picks[0].tolist()))
 
 
 def assign_block(fp: FittedPartition, x) -> int:
@@ -445,36 +543,33 @@ def assign_block(fp: FittedPartition, x) -> int:
     vec = np.asarray(x, dtype=float).reshape(1, -1)
     if vec.shape[1] != fp.plan.p:
         raise ValueError(f"point has dimension {vec.shape[1]}, partition has p={fp.plan.p}")
-    blocks, _ = _assign_many(fp, _as_points(vec))
-    return int(blocks[0]) + 1
+    blocks, _ = _assign_kernel(fp.plan, fp._thresholds, _as_points(vec)[None])
+    return int(blocks[0, 0]) + 1
 
 
-def _assign_many(fp: FittedPartition, pts: np.ndarray) -> tuple[np.ndarray, int]:
-    """Vectorized block assignment; returns (0-based block ids, tie count)."""
-    cols = fp._columns
-    is_min = fp._is_min
-    thr = fp._thresholds
-    m = pts.shape[0]
-    blocks = np.full(m, fp.plan.n, dtype=np.intp)  # residual block by default
-    alive = np.arange(m)
-    ties = 0
-    for k in range(fp.plan.n):
-        if alive.size == 0:
-            break
-        proj = pts[alive, cols[k]]
-        captured = proj <= thr[k] if is_min[k] else proj >= thr[k]
-        if captured.any():
-            ties += int((proj[captured] == thr[k]).sum())
-            blocks[alive[captured]] = k
-            alive = alive[~captured]
-    return blocks, ties
+def block_frequencies(
+    fp: FittedPartition | FittedBatch, x
+) -> BlockFrequencies | FrequencyBatch:
+    """Count comparison-sample points per block.
 
-
-def block_frequencies(fp: FittedPartition, x) -> BlockFrequencies:
-    """Count comparison-sample points per block."""
-    pts = _as_points(x, fp.plan.p)
-    blocks, ties = _assign_many(fp, pts)
-    counts = np.bincount(blocks, minlength=fp.plan.n + 1)
+    Against a ``FittedBatch`` of R fits, ``x`` is a stacked (R, m, p)
+    array whose sample r is counted against fit r, all in one kernel
+    call, and the result is a ``FrequencyBatch``.
+    """
+    plan = fp.plan
+    pts = _as_points(x, plan.p)
+    if isinstance(fp, FittedBatch):
+        if pts.ndim != 3 or pts.shape[0] != fp.thresholds.shape[0]:
+            raise ValueError(
+                f"a batch of {fp.thresholds.shape[0]} fits needs a stacked "
+                f"({fp.thresholds.shape[0]}, m, {plan.p}) array, got shape {pts.shape}"
+            )
+        blocks, ties = _assign_kernel(plan, fp.thresholds, pts)
+        return FrequencyBatch(_block_counts(blocks, plan.n), ties.sum(axis=1))
+    if pts.ndim != 2:
+        raise ValueError(f"one fit needs one (m, {plan.p}) sample, got shape {pts.shape}")
+    blocks, ties = _assign_kernel(plan, fp._thresholds, pts[None])
     return BlockFrequencies(
-        tuple(int(c) for c in counts), pts.shape[0], fp.plan.n, boundary_ties=ties
+        tuple(_block_counts(blocks, plan.n)[0].tolist()), pts.shape[0], plan.n,
+        boundary_ties=int(ties.sum()),
     )

@@ -8,6 +8,7 @@ seeded separately from the base seed and are shared across replicates.
 
 from __future__ import annotations
 
+import bisect
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -272,6 +273,7 @@ def _cached_rule(
 _DIRECTION_RANDOMIZED = {"spiral", "stairstep"}
 
 
+@lru_cache(maxsize=64)
 def _oriented_plan(name: str, p: int, n: int, descending: bool) -> PartitionPlan:
     if name not in _DIRECTION_RANDOMIZED or not descending:
         return make_plan(name, p, n)
@@ -284,9 +286,12 @@ def _oriented_plan(name: str, p: int, n: int, descending: bool) -> PartitionPlan
 class _StudyContext:
     spec: ScenarioSpec
     tests: tuple[TestConfig, ...]
+    plan_names: tuple[str, ...]
     plans: dict
-    rules: dict
+    # per roles-swapped flag: the distinct bound statistics, and per
+    # column (its statistic's index, its plan's row, its rejection rule)
     statistics: dict
+    columns: dict
     base_seed: int
     randomize_roles: bool
     permute_columns: bool
@@ -294,13 +299,33 @@ class _StudyContext:
     max_tie_retries: int
 
 
+# replicates whose statistics are evaluated together: one call per
+# distinct statistic on their stacked block counts
+_STATISTIC_CHUNK = 256
+
+
 def _run_replicates(ctx: _StudyContext, start: int, stop: int) -> tuple[np.ndarray, int]:
     spec = ctx.spec
-    k_tests = len(ctx.tests)
-    rejections = np.zeros(k_tests, dtype=np.int64)
+    k_tests, k_plans = len(ctx.tests), len(ctx.plan_names)
+    rejections = [0] * k_tests
     retries = 0
-    column_plans = [cfg.fitted_plan for cfg in ctx.tests]
-    plan_names = sorted(set(column_plans))
+    # per roles-swapped flag: the block counts of each plan, replicate
+    # after replicate, and each replicate's decision uniforms
+    pending = {False: ([], []), True: ([], [])}
+
+    def decide_pending(swapped: bool):
+        rows, uniforms = pending[swapped]
+        if not uniforms:
+            return
+        counts = np.array(rows, dtype=np.int64)
+        values = [statistic(counts) for statistic in ctx.statistics[swapped]]
+        for j, u in enumerate(uniforms):
+            for i, (s, row, rule) in enumerate(ctx.columns[swapped]):
+                if rule.decide(values[s][j * k_plans + row], u[i]):
+                    rejections[i] += 1
+        rows.clear()
+        uniforms.clear()
+
     for r in range(start, stop):
         for attempt in range(ctx.max_tie_retries + 1):
             rng = np.random.default_rng((ctx.base_seed, r, attempt))
@@ -314,30 +339,36 @@ def _run_replicates(ctx: _StudyContext, start: int, stop: int) -> tuple[np.ndarr
                 x = x[:, perm]
                 y = y[:, perm]
             descending = ctx.randomize_directions and rng.random() < 0.5
-            uniforms = rng.random(k_tests)
+            uniforms = rng.random(k_tests).tolist()
             n_eff = y.shape[0]
             try:
-                freqs = {}
-                for name in plan_names:
-                    down = descending and name in _DIRECTION_RANDOMIZED
-                    fitted = fit_partition(ctx.plans[(name, n_eff, down)], y)
-                    freqs[name] = np.asarray(
-                        block_frequencies(fitted, x).counts, dtype=np.int64
-                    )
+                counts = [
+                    block_frequencies(
+                        fit_partition(
+                            ctx.plans[(name, n_eff, descending and name in _DIRECTION_RANDOMIZED)],
+                            y,
+                        ),
+                        x,
+                    ).counts
+                    for name in ctx.plan_names
+                ]
             except TieError:
                 retries += 1
                 continue
-            for i, plan in enumerate(column_plans):
-                key = (i, swapped)
-                if ctx.rules[key].decide(ctx.statistics[key](freqs[plan]), uniforms[i]):
-                    rejections[i] += 1
+            rows, chunk = pending[swapped]
+            rows.extend(counts)
+            chunk.append(uniforms)
+            if len(chunk) == _STATISTIC_CHUNK:
+                decide_pending(swapped)
             break
         else:
             raise RuntimeError(
                 f"replicate {r} kept producing tied values after "
                 f"{ctx.max_tie_retries} retries"
             )
-    return rejections, retries
+    decide_pending(False)
+    decide_pending(True)
+    return np.array(rejections, dtype=np.int64), retries
 
 
 def _run_chunk(args) -> tuple[np.ndarray, int]:
@@ -379,47 +410,47 @@ def run_power_study(
     if not tests:
         raise ValueError("need at least one test configuration")
 
-    # size pairs seen by the tests: (tested, reference) for both role
-    # assignments
-    orientations = {(spec.m, spec.n)}
-    if randomize_roles:
-        orientations.add((spec.n, spec.m))
-
+    plan_names = tuple(sorted({cfg.fitted_plan for cfg in tests}))
     plans = {}
-    for name in sorted({cfg.fitted_plan for cfg in tests}):
-        for _, n_eff in orientations:
+    for name in plan_names:
+        for n_eff in {spec.n, spec.m} if randomize_roles else {spec.n}:
             directions = (False, True) if (
                 randomize_directions and name in _DIRECTION_RANDOMIZED
             ) else (False,)
             for down in directions:
                 plans[(name, n_eff, down)] = _oriented_plan(name, spec.p, n_eff, down)
 
-    # rules and statistics per (test index, roles swapped), each bound
-    # once with its sizes, parameters and scores
-    rules, statistics = {}, {}
-    for i, cfg in enumerate(tests):
-        for m_eff, n_eff in orientations:
-            key = (i, (m_eff, n_eff) != (spec.m, spec.n))
+    # per role assignment, each distinct statistic bound once with its
+    # sizes, parameters and scores, and evaluated on every plan's row
+    statistics, columns = {}, {}
+    for swapped in (False, True) if randomize_roles else (False,):
+        if swapped and spec.m == spec.n:
+            # same sizes either way; both orientations share everything
+            statistics[True], columns[True] = statistics[False], columns[False]
+            continue
+        m_eff, n_eff = (spec.n, spec.m) if swapped else (spec.m, spec.n)
+        index, bound, cols = {}, [], []
+        for i, cfg in enumerate(tests):
             seed_key = (base_seed, _NULL_SEED_TAG, i, m_eff, n_eff)
             entry, params = twosample.resolve_statistic(cfg.test, m_eff, n_eff, cfg.j)
             method = twosample.null_method(entry, m_eff, n_eff, params, enumerate_scores=False)
-            rules[key] = _cached_rule(
+            rule = _cached_rule(
                 cfg.test, m_eff, n_eff, cfg.j, cfg.alternative, alpha, method, n_null_draws,
                 seed_key,
             )
-            statistics[key] = entry.bind(m_eff, n_eff, params, method == "exact")
-    if spec.m == spec.n and randomize_roles:
-        # same sizes either way; both orientations share the rules
-        for table in (rules, statistics):
-            for i, _ in list(table):
-                table[(i, True)] = table[(i, False)]
+            if (cfg.test, cfg.j) not in index:
+                index[(cfg.test, cfg.j)] = len(bound)
+                bound.append(entry.bind(m_eff, n_eff, params, method == "exact"))
+            cols.append((index[(cfg.test, cfg.j)], plan_names.index(cfg.fitted_plan), rule))
+        statistics[swapped], columns[swapped] = tuple(bound), tuple(cols)
 
     ctx = _StudyContext(
         spec=spec,
         tests=tests,
+        plan_names=plan_names,
         plans=plans,
-        rules=rules,
         statistics=statistics,
+        columns=columns,
         base_seed=base_seed,
         randomize_roles=randomize_roles,
         permute_columns=permute_columns,
@@ -531,6 +562,14 @@ def _standard_generator(name: str):
     raise ValueError(f"generator must be 'normal' or 'cauchy', got {name!r}")
 
 
+# points per kernel call of the uniformity check: bounds the stacked
+# samples at about 4 MB for p = 8
+_UNIFORMITY_BATCH_POINTS = 1 << 16
+# tied reference samples drawn since the last untied one before the
+# uniformity check gives up, as the power harness's max_tie_retries
+_UNIFORMITY_MAX_TIED = 100
+
+
 def frequency_uniformity_check(
     m: int,
     n: int,
@@ -542,7 +581,15 @@ def frequency_uniformity_check(
 ) -> UniformityReport:
     """Simulate paired samples from one continuous distribution and
     tabulate the block-frequency vectors, which should be uniform over
-    all C(m+n, n) possibilities whatever the generating distribution."""
+    all C(m+n, n) possibilities whatever the generating distribution.
+
+    Each replicate draws ``generator(m, p, rng)`` then ``generator(n,
+    p, rng)`` from one stream, and a pair whose reference sample has
+    tied values is replaced by the next pair of the stream.  Pairs are
+    stacked and fitted and counted a batch at a time; the tally equals
+    that of one pair at a time.  Raises ``TieError`` when more than 100
+    reference samples in a row tie.
+    """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     n_possible = math.comb(m + n, n)
@@ -552,17 +599,39 @@ def frequency_uniformity_check(
         )
     draw = _standard_generator(generator) if isinstance(generator, str) else generator
     plan = make_plan(plan_label, p, n)
+    vectors = _all_vectors(m, n)  # lexicographic; the report's keys
     rng = np.random.default_rng(seed)
     counts: dict[tuple, int] = {}
-    for _ in range(replicates):
-        while True:
-            x = np.asarray(draw(m, p, rng), dtype=float)
-            y = np.asarray(draw(n, p, rng), dtype=float)
-            try:
-                fitted = fit_partition(plan, y)
-            except TieError:
-                continue
-            break
-        vec = block_frequencies(fitted, x).counts
-        counts[vec] = counts.get(vec, 0) + 1
+    remaining, tied_run = replicates, 0
+    while remaining:
+        size = min(remaining, max(1, _UNIFORMITY_BATCH_POINTS // (m + n)))
+        xs, ys = np.empty((size, m, p)), np.empty((size, n, p))
+        for i in range(size):
+            xs[i] = _draw_points(draw, m, p, rng)
+            ys[i] = _draw_points(draw, n, p, rng)
+        fitted = fit_partition(plan, ys)
+        rows = block_frequencies(fitted, xs).counts[~fitted.tied]
+        # runs of tied samples between untied ones, the first carried
+        # over from the batch before
+        untied = np.flatnonzero(~fitted.tied)
+        runs = np.diff(untied, prepend=-1 - tied_run, append=size) - 1
+        if runs.max() > _UNIFORMITY_MAX_TIED:
+            raise TieError(
+                f"{runs.max()} reference samples in a row have tied values; "
+                "the generator must draw from a continuous law"
+            )
+        tied_run = int(runs[-1])
+        for row, k in zip(*np.unique(rows, axis=0, return_counts=True)):
+            vec = vectors[bisect.bisect_left(vectors, tuple(row.tolist()))]
+            counts[vec] = counts.get(vec, 0) + int(k)
+        remaining -= rows.shape[0]
     return UniformityReport(m, n, replicates, counts, n_possible)
+
+
+def _draw_points(draw: Callable, k: int, p: int, rng) -> np.ndarray:
+    pts = np.asarray(draw(k, p, rng), dtype=float)
+    if p == 1 and pts.ndim == 1:  # univariate data, as in ``Sample``
+        pts = pts.reshape(-1, 1)
+    if pts.shape != (k, p):
+        raise ValueError(f"generator returned shape {pts.shape}, expected ({k}, {p})")
+    return pts

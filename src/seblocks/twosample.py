@@ -397,8 +397,12 @@ class BlockStatistic:
         return (self.name, {}) if params is None else (f"{self.name}(j={params})", {"j": params})
 
     def observe(self, m: int, n: int, params, exact: bool, counts: np.ndarray):
-        """The reported statistic of one frequency vector."""
-        return self.value(self.statistic(counts, m, n, params), m, n, params, exact)
+        """The reported statistic of one frequency vector, or the list
+        of them for the rows of an (R, n+1) matrix."""
+        v = self.statistic(counts, m, n, params)
+        if counts.ndim == 1:
+            return self.value(v, m, n, params, exact)
+        return [self.value(row, m, n, params, exact) for row in v.tolist()]
 
     def bind(self, m: int, n: int, params, exact: bool) -> Callable:
         """``observe`` with everything but the counts fixed."""

@@ -346,7 +346,6 @@ def test_07_monotone_rescaling_leaves_all_decisions_identical():
     print("\nPASS 07 invariance: 100 random monotone rescalings, all outputs bit-identical")
 
 
-@pytest.mark.slow
 def test_08_frequency_vectors_are_uniform_under_the_null():
     """With both samples from one continuous distribution, all 20
     frequency vectors at m=n=3 appear with probability 1/20 (within 4

@@ -7,6 +7,8 @@ from seblocks.partition import (
     BlockFrequencies,
     CutRule,
     Direction,
+    FittedBatch,
+    FrequencyBatch,
     PartitionPlan,
     PlanLabel,
     Sample,
@@ -295,6 +297,99 @@ class TestPartitionProperties:
 
         warped = block_frequencies(fit_partition(plan, warp(y)), warp(x)).counts
         assert warped == base
+
+
+# every plan name make_plan builds (aliases build the same plans)
+PLAN_NAMES = (
+    "spiral", "spiral_cycle_all", "spiral_paired", "stairstep", "stairstep_max",
+    "stairstep_cycle_all", "stairstep_reversing", "univariate", "univariate_desc",
+)
+
+
+def _blocks_by_definition(plan, y, x):
+    """Thresholds, cut rows, block counts and boundary ties, cut by cut
+    in plain Python: each cut takes the first extreme of the remaining
+    reference projections, and a comparison point belongs to the first
+    cut whose closing inequality it meets."""
+    cuts = [(rule.component - 1, rule.direction is Direction.MIN) for rule in plan.cuts]
+    alive = list(range(len(y)))
+    thresholds, rows = [], []
+    for col, is_min in cuts:
+        pick = (min if is_min else max)(alive, key=lambda i: float(y[i][col]))
+        thresholds.append(float(y[pick][col]))
+        rows.append(pick)
+        alive.remove(pick)
+    counts, ties = [0] * (len(cuts) + 1), 0
+    for point in x:
+        for k, (col, is_min) in enumerate(cuts):
+            v = float(point[col])
+            if (v <= thresholds[k]) if is_min else (v >= thresholds[k]):
+                counts[k] += 1
+                ties += v == thresholds[k]
+                break
+        else:
+            counts[-1] += 1
+    return tuple(thresholds), tuple(rows), tuple(counts), ties
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 17])
+def test_batched_kernel_matches_the_definition_row_by_row(p, n):
+    rng = np.random.default_rng(1000 * p + n)
+    names = [name for name in PLAN_NAMES if (p == 1) == name.startswith("univariate")]
+    for name, r_count in [(name, r) for name in names for r in (1, 7)]:
+        plan = make_plan(name, p, n)
+        ys = rng.standard_normal((r_count, n, p))
+        xs = rng.standard_normal((r_count, 2 * n + 3, p))
+        # boundary ties: comparison points on reference values, and one
+        # row with a reference sample tied on every coordinate
+        xs[:, : n, :] = np.where(rng.random((r_count, n, p)) < 0.5, ys, xs[:, : n, :])
+        if n > 1:
+            ys[-1, 1] = ys[-1, 0]
+        fitted = fit_partition(plan, ys)
+        freqs = block_frequencies(fitted, xs)
+        assert isinstance(fitted, FittedBatch) and isinstance(freqs, FrequencyBatch)
+        assert fitted.tied.tolist() == [n > 1 and r == r_count - 1 for r in range(r_count)]
+        assert freqs.counts.shape == (r_count, n + 1)
+        for r in range(r_count):
+            want = _blocks_by_definition(plan, ys[r], xs[r])
+            assert tuple(fitted.thresholds[r].tolist()) == want[0], (name, r)
+            assert tuple(fitted.cut_point_indices[r].tolist()) == want[1], (name, r)
+            assert tuple(freqs.counts[r].tolist()) == want[2], (name, r)
+            assert int(freqs.boundary_ties[r]) == want[3], (name, r)
+            if fitted.tied[r]:
+                with pytest.raises(TieError):
+                    fit_partition(plan, ys[r])
+                continue
+            single = fit_partition(plan, ys[r])
+            assert (single.thresholds, single.cut_point_indices) == want[:2]
+            one = block_frequencies(single, xs[r])
+            assert (one.counts, one.boundary_ties) == want[2:]
+
+
+class TestBatchArguments:
+    def test_tied_batch_is_flagged_not_raised(self):
+        plan = make_univariate_plan(3)
+        ys = np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 2.0]])[:, :, None]
+        assert fit_partition(plan, ys).tied.tolist() == [False, True]
+
+    def test_perturbation_takes_one_sample(self):
+        plan = make_univariate_plan(3)
+        with pytest.raises(ValueError, match="not a stacked batch"):
+            fit_partition(plan, np.zeros((2, 3, 1)), on_ties="perturb")
+        for on_ties in ("flag", "ignore"):
+            with pytest.raises(ValueError, match="on_ties must be 'error' or 'perturb'"):
+                fit_partition(plan, [1.0, 2.0, 3.0], on_ties=on_ties)
+
+    def test_batch_shapes_must_agree(self):
+        plan = make_plan("spiral", 2, 3)
+        fitted = fit_partition(plan, np.random.default_rng(0).standard_normal((4, 3, 2)))
+        with pytest.raises(ValueError, match="stacked"):
+            block_frequencies(fitted, np.zeros((3, 5, 2)))
+        with pytest.raises(ValueError, match="stacked"):
+            block_frequencies(fitted, np.zeros((5, 2)))
+        with pytest.raises(ValueError, match="one fit"):
+            block_frequencies(fit_partition(plan, np.arange(6.0).reshape(3, 2)), np.zeros((4, 5, 2)))
 
 
 def _bump_groups(values, seed):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from seblocks.partition import Sample, fit_partition, make_plan
+from seblocks import simulate
+from seblocks.partition import Sample, TieError, block_frequencies, fit_partition, make_plan
 from seblocks.simulate import (
     NULL_CASE,
     ScenarioSpec,
@@ -91,6 +92,21 @@ class TestPowerStudy:
         parallel = run_power_study(spec, tests, 0.05, 60, 99, workers=3, n_null_draws=2000)
         assert [e.rejections for e in serial] == [e.rejections for e in parallel]
         assert [e.tie_retries for e in serial] == [e.tie_retries for e in parallel]
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_statistic_chunks_do_not_change_results(self, monkeypatch, chunk):
+        # unequal sizes, so swapped and unswapped replicates pend apart
+        spec = ScenarioSpec(scenario=2, c=1.5, p=3, m=14, n=9)
+        tests = [
+            TestConfig(test, plan)
+            for plan in ("spiral", "stairstep")
+            for test in ("wilcoxon", "terry_hoeffding", "mood", "precedence",
+                         "maximal_block", "empty_block", "dixon_c2")
+        ]
+        default = run_power_study(spec, tests, 0.1, 40, 3, n_null_draws=2000)
+        monkeypatch.setattr(simulate, "_STATISTIC_CHUNK", chunk)
+        chunked = run_power_study(spec, tests, 0.1, 40, 3, n_null_draws=2000)
+        assert [e.rejections for e in chunked] == [e.rejections for e in default]
 
     def test_null_rejection_rate_near_alpha(self):
         spec = ScenarioSpec(p=2, m=25, n=25)
@@ -222,3 +238,103 @@ class TestDiagnostics:
         a = frequency_uniformity_check(2, 2, 2, "spiral", 20_000, seed=8, generator="normal")
         b = frequency_uniformity_check(2, 2, 2, "spiral", 20_000, seed=8, generator="cauchy")
         assert a.max_se_deviation < 4.0 and b.max_se_deviation < 4.0
+
+
+def _tally_one_pair_at_a_time(m, n, p, label, replicates, seed, draw):
+    """The uniformity tally by its definition: one pair per replicate,
+    a pair with a tied reference sample redrawn from the same stream."""
+    plan = make_plan(label, p, n)
+    rng = np.random.default_rng(seed)
+    counts = {}
+    for _ in range(replicates):
+        while True:
+            x = np.asarray(draw(m, p, rng), dtype=float)
+            y = np.asarray(draw(n, p, rng), dtype=float)
+            try:
+                fitted = fit_partition(plan, y)
+            except TieError:
+                continue
+            break
+        vec = block_frequencies(fitted, x).counts
+        counts[vec] = counts.get(vec, 0) + 1
+    return counts
+
+
+def _shifted_laplace(k, p, rng):
+    return rng.laplace(size=(k, p)) + 3.0
+
+
+def _rounded_normal(k, p, rng):
+    # one decimal: about one reference sample in four has a tie
+    return np.round(rng.standard_normal((k, p)), 1)
+
+
+class TestBatchedUniformity:
+    @pytest.mark.parametrize("generator, replicates, batch_points", [
+        ("normal", 3000, None),
+        ("cauchy", 3000, None),
+        (_shifted_laplace, 3000, None),
+        (_rounded_normal, 5000, None),
+        (_rounded_normal, 500, 60),  # 10 pairs per kernel call, many shortfall rounds
+    ])
+    def test_tally_equals_the_one_pair_loop(self, monkeypatch, generator, replicates, batch_points):
+        if batch_points:
+            monkeypatch.setattr(simulate, "_UNIFORMITY_BATCH_POINTS", batch_points)
+        draw = simulate._standard_generator(generator) if isinstance(generator, str) else generator
+        report = frequency_uniformity_check(3, 3, 2, "spiral", replicates, seed=41, generator=generator)
+        assert report.counts == _tally_one_pair_at_a_time(3, 3, 2, "spiral", replicates, 41, draw)
+        # the keys are the cached vectors themselves, not equal copies
+        cached = {id(v) for v in simulate._all_vectors(3, 3)}
+        assert all(id(vec) in cached for vec in report.counts)
+
+    def test_vectors_are_sorted_for_the_key_lookup(self):
+        for m, n in [(3, 3), (1, 4), (5, 2)]:
+            vectors = simulate._all_vectors(m, n)
+            assert list(vectors) == sorted(vectors)
+
+    def test_a_flat_univariate_draw_is_one_coordinate(self):
+        def flat(k, p, rng):
+            return rng.standard_normal(k)
+
+        def column(k, p, rng):
+            return rng.standard_normal((k, 1))
+
+        a = frequency_uniformity_check(3, 3, 1, "univariate", 500, seed=5, generator=flat)
+        b = frequency_uniformity_check(3, 3, 1, "univariate", 500, seed=5, generator=column)
+        assert a.counts == b.counts
+        assert sum(a.counts.values()) == 500
+
+    @pytest.mark.parametrize("replicates", [1, 5000])
+    def test_a_generator_that_always_ties_is_refused(self, replicates):
+        with pytest.raises(TieError, match="in a row"):
+            frequency_uniformity_check(
+                3, 3, 2, "spiral", replicates, generator=lambda k, p, rng: np.zeros((k, p))
+            )
+
+    def test_the_tie_bound_counts_ties_across_batches(self):
+        # three replicates are three pairs per kernel call, so a run of
+        # 101 ties spans 34 calls; 100 ties and then an untied pair pass
+
+        def ties_first(run):
+            calls = []
+
+            def draw(k, p, rng):
+                calls.append(k)
+                tied = len(calls) % 2 == 0 and len(calls) <= 2 * run
+                return np.zeros((k, p)) if tied else rng.standard_normal((k, p))
+
+            return draw
+
+        report = frequency_uniformity_check(3, 3, 2, "spiral", 3, generator=ties_first(100))
+        assert sum(report.counts.values()) == 3
+        with pytest.raises(TieError, match="101 reference samples in a row"):
+            frequency_uniformity_check(3, 3, 2, "spiral", 3, generator=ties_first(101))
+
+    @pytest.mark.parametrize("shape", [lambda k, p: (k + 1, p), lambda k, p: (k, p + 1),
+                                       lambda k, p: (k,), lambda k, p: (1, p)])
+    def test_a_generator_of_the_wrong_shape_is_rejected(self, shape):
+        def draw(k, p, rng):
+            return rng.standard_normal(shape(k, p))
+
+        with pytest.raises(ValueError, match=r"generator returned shape .* expected \(3, 2\)"):
+            frequency_uniformity_check(3, 3, 2, "spiral", 10, generator=draw)

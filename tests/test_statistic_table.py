@@ -362,6 +362,17 @@ def test_observed_statistics_are_atoms_of_the_monte_carlo_null(test, m, n):
         assert res.statistic in atoms
 
 
+@pytest.mark.parametrize("name", sorted(twosample.STATISTICS))
+def test_a_count_matrix_observes_row_by_row(name):
+    m, n = 9, 7
+    entry = twosample.STATISTICS[name]
+    params = entry.params(m, n, None, None)
+    counts = np.concatenate(list(nulldist._sample_arrangements(m, n, 60, np.random.default_rng(2))))
+    for exact in (True, False):
+        observe = entry.bind(m, n, params, exact)
+        assert observe(counts) == [observe(row) for row in counts]
+
+
 def test_result_is_immutable_and_the_decision_carries_gamma():
     res = twosample.empty_block_test(BlockFrequencies((0, 3, 0, 1), 4, 3))
     with pytest.raises(dataclasses.FrozenInstanceError):
