@@ -129,7 +129,7 @@ def cmd_test(args) -> int:
         if x.p != 1:
             raise CliError("the runs test needs single-column data")
         try:
-            result = twosample.runs_test(tested, partitioner, args.alternative, **ties)
+            freqs = twosample._univariate_frequencies(tested, partitioner, **ties)
         except TieError as exc:
             raise CliError(f"tie-error: {exc}") from exc
     else:
@@ -154,10 +154,10 @@ def cmd_test(args) -> int:
                 file=sys.stderr,
             )
         meta["plan"] = plan.label.value
-        result = twosample.block_test(
-            test, freqs, args.alternative, args.method,
-            j=args.j, scores=args.scores or None, n_draws=args.draws, seed=args.seed,
-        )
+    result = twosample.block_test(
+        test, freqs, args.alternative, args.method,
+        j=args.j, scores=args.scores or None, n_draws=args.draws, seed=args.seed,
+    )
 
     payload = result.to_json_dict()
     payload.update(meta)
@@ -244,6 +244,19 @@ def _shipped_config(name: str) -> str | None:
     return None
 
 
+# the keys a power config may set: at the top level, in a run entry, and
+# in a test entry of a run's list
+_CONFIG_KEYS = ("m", "n", "p", "alpha", "replicates", "seed", "null_draws", "workers", "runs")
+_RUN_KEYS = ("scenario", "c", "tests")
+_TEST_KEYS = ("test", "plan", "j", "alternative")
+
+
+def _refuse_unknown_keys(entry: dict, known: tuple, where: str):
+    for key in entry:
+        if key not in known:
+            raise CliError(f"{where}: unknown key {key!r}; known: {' '.join(known)}")
+
+
 def _load_power_config(path: str) -> dict:
     text = None
     if Path(path).is_file():
@@ -266,8 +279,17 @@ def _load_power_config(path: str) -> dict:
     runs = cfg["runs"]
     if not isinstance(runs, list) or not runs or not all(isinstance(b, dict) for b in runs):
         raise CliError(f"{origin}: 'runs' must be a non-empty list of objects")
+    _refuse_unknown_keys(cfg, _CONFIG_KEYS, f"{origin}: top level")
+    for i, block in enumerate(runs):
+        _refuse_unknown_keys(block, _RUN_KEYS, f"{origin}: runs[{i}]")
+        if isinstance(block.get("tests"), list):
+            for k, t in enumerate(block["tests"]):
+                if isinstance(t, dict):
+                    _refuse_unknown_keys(t, _TEST_KEYS, f"{origin}: runs[{i}].tests[{k}]")
     if int(cfg["replicates"]) < 1:
         raise CliError(f"{origin}: replicates must be >= 1")
+    if int(cfg.get("workers", 1)) < 1:
+        raise CliError(f"{origin}: workers must be >= 1")
     return cfg
 
 
@@ -326,9 +348,6 @@ def _power_rows(cfg: dict, workers: int) -> list[dict]:
             seed,
             workers=workers,
             n_null_draws=draws,
-            randomize_roles=bool(cfg.get("randomize_roles", True)),
-            permute_columns=bool(cfg.get("permute_columns", True)),
-            randomize_directions=bool(cfg.get("randomize_directions", True)),
         )
         for est in estimates:
             rows.append(
@@ -365,8 +384,7 @@ def _rows_to_csv(rows: list[dict]) -> str:
 
 def cmd_power(args) -> int:
     cfg = _load_power_config(args.config)
-    workers = args.workers if args.workers else int(cfg.get("workers", 1))
-    rows = _power_rows(cfg, workers)
+    rows = _power_rows(cfg, int(cfg.get("workers", 1)) if args.workers is None else args.workers)
     csv_text = _rows_to_csv(rows)
     json_text = json.dumps({"config": cfg, "results": rows}, indent=2) + "\n"
     if args.out:

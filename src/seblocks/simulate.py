@@ -13,6 +13,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,10 +25,7 @@ from .partition import (
     TieError,
     fit_partition,
     block_frequencies,
-    figure_axes,
     make_plan,
-    make_spiral_plan,
-    make_stairstep_plan,
 )
 from .twosample import KNOWN_TESTS, SCORE_TESTS, RejectionRule, build_rejection_rule
 from .twosample import make_scores  # noqa: F401  (a module attribute perfbench/tracer.py wraps)
@@ -197,8 +195,8 @@ def generate_scenario(spec: ScenarioSpec, rng_or_seed=None) -> tuple[np.ndarray,
 class TestConfig:
     """One test to run per replicate: a statistic plus a cut schedule.
 
-    ``j`` applies to precedence and maximal-block tests (defaults: half
-    the blocks, and all blocks, respectively).  Score tests default to
+    ``j`` applies to precedence and maximal-block tests only (defaults:
+    half the blocks, and all blocks, respectively).  Score tests default to
     two-sided alternatives; concentration statistics are one-sided.
     """
 
@@ -267,19 +265,36 @@ def _cached_rule(
 
 # --- the replicate loop ------------------------------------------------------
 
-# plan labels whose ascending/descending orientation the harness redraws
-# per replicate: the published construction treats up and down
-# symmetrically, exactly as it treats the coordinate labels
-_DIRECTION_RANDOMIZED = {"spiral", "stairstep"}
+# tied reference samples in a row that a power replicate or the
+# uniformity check redraws before it raises TieError
+_MAX_TIED = 100
 
 
 @lru_cache(maxsize=64)
 def _oriented_plan(name: str, p: int, n: int, descending: bool) -> PartitionPlan:
-    if name not in _DIRECTION_RANDOMIZED or not descending:
-        return make_plan(name, p, n)
-    if name == "spiral":
-        return make_spiral_plan(p, n, axes=figure_axes(p), start=Direction.MAX)
-    return make_stairstep_plan(p, n, direction=Direction.MAX, axes=figure_axes(p))
+    """The plan ``name``; the spiral and stair-step peel from the maxima
+    when ``descending``, as the published construction treats up and
+    down symmetrically, exactly as it treats the coordinate labels."""
+    if descending and name == "spiral":
+        return make_plan(name, p, n, start=Direction.MAX)
+    if descending and name == "stairstep":
+        return make_plan("stairstep_max", p, n)
+    return make_plan(name, p, n)
+
+
+def _draw_replicate(spec: ScenarioSpec, base_seed: int, r: int, attempt: int, k_tests: int):
+    """Replicate r's draw from the substream (base_seed, r, attempt): the
+    samples, a role swap, one coordinate permutation for both, the
+    direction coin and a decision uniform per test, in that order.
+    Returns ``x, y, swapped, descending, uniforms``; ``y`` partitions."""
+    rng = np.random.default_rng((base_seed, r, attempt))
+    x, y = generate_scenario(spec, rng)
+    swapped = rng.random() < 0.5
+    if swapped:
+        x, y = y, x
+    perm = rng.permutation(spec.p)
+    descending = rng.random() < 0.5
+    return x[:, perm], y[:, perm], swapped, descending, rng.random(k_tests).tolist()
 
 
 @dataclass(frozen=True)
@@ -287,16 +302,11 @@ class _StudyContext:
     spec: ScenarioSpec
     tests: tuple[TestConfig, ...]
     plan_names: tuple[str, ...]
-    plans: dict
     # per roles-swapped flag: the distinct bound statistics, and per
     # column (its statistic's index, its plan's row, its rejection rule)
     statistics: dict
     columns: dict
     base_seed: int
-    randomize_roles: bool
-    permute_columns: bool
-    randomize_directions: bool
-    max_tie_retries: int
 
 
 # replicates whose statistics are evaluated together: one call per
@@ -327,28 +337,14 @@ def _run_replicates(ctx: _StudyContext, start: int, stop: int) -> tuple[np.ndarr
         uniforms.clear()
 
     for r in range(start, stop):
-        for attempt in range(ctx.max_tie_retries + 1):
-            rng = np.random.default_rng((ctx.base_seed, r, attempt))
-            x, y = generate_scenario(spec, rng)
-            swapped = False
-            if ctx.randomize_roles and rng.random() < 0.5:
-                x, y = y, x
-                swapped = True
-            if ctx.permute_columns:
-                perm = rng.permutation(spec.p)
-                x = x[:, perm]
-                y = y[:, perm]
-            descending = ctx.randomize_directions and rng.random() < 0.5
-            uniforms = rng.random(k_tests).tolist()
-            n_eff = y.shape[0]
+        for attempt in range(_MAX_TIED + 1):
+            x, y, swapped, descending, uniforms = _draw_replicate(
+                spec, ctx.base_seed, r, attempt, k_tests
+            )
             try:
                 counts = [
                     block_frequencies(
-                        fit_partition(
-                            ctx.plans[(name, n_eff, descending and name in _DIRECTION_RANDOMIZED)],
-                            y,
-                        ),
-                        x,
+                        fit_partition(_oriented_plan(name, spec.p, y.shape[0], descending), y), x
                     ).counts
                     for name in ctx.plan_names
                 ]
@@ -362,18 +358,13 @@ def _run_replicates(ctx: _StudyContext, start: int, stop: int) -> tuple[np.ndarr
                 decide_pending(swapped)
             break
         else:
-            raise RuntimeError(
-                f"replicate {r} kept producing tied values after "
-                f"{ctx.max_tie_retries} retries"
+            raise TieError(
+                f"replicate {r} drew a reference sample with tied values "
+                f"{_MAX_TIED + 1} times in a row"
             )
     decide_pending(False)
     decide_pending(True)
     return np.array(rejections, dtype=np.int64), retries
-
-
-def _run_chunk(args) -> tuple[np.ndarray, int]:
-    ctx, start, stop = args
-    return _run_replicates(ctx, start, stop)
 
 
 def run_power_study(
@@ -385,25 +376,24 @@ def run_power_study(
     *,
     workers: int = 1,
     n_null_draws: int = 200_000,
-    randomize_roles: bool = True,
-    permute_columns: bool = True,
-    randomize_directions: bool = True,
-    max_tie_retries: int = 100,
 ) -> list[PowerEstimate]:
     """Estimate rejection rates for each configured test.
 
-    Per replicate the two samples are generated, randomly assigned the
-    partitioning role, their coordinates permuted by one shared random
-    permutation, the spiral / stair-step orientation flipped by a fair
-    coin, and every test decided with randomization at exact level
-    ``alpha``.  None of these symmetrizations touches the null law; they
-    make the estimates invariant to coordinate labeling and to the
-    up/down convention of the cut schedules.  Replicates that generate
-    tied values are redrawn from a fresh substream and counted in
-    ``tie_retries``.
+    Per replicate (``_draw_replicate``) the two samples are generated,
+    randomly assigned the partitioning role, their coordinates permuted
+    by one shared random permutation, the spiral / stair-step
+    orientation flipped by a fair coin, and every test decided with
+    randomization at exact level ``alpha``.  None of these
+    symmetrizations touches the null law; they make the estimates
+    invariant to coordinate labeling and to the up/down convention of
+    the cut schedules.  Replicates that generate tied values are redrawn
+    from a fresh substream and counted in ``tie_retries``; more than 100
+    in a row raise ``TieError``.
     """
     if n_replicates < 1:
         raise ValueError(f"n_replicates must be >= 1, got {n_replicates}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     tests = tuple(tests)
@@ -411,19 +401,11 @@ def run_power_study(
         raise ValueError("need at least one test configuration")
 
     plan_names = tuple(sorted({cfg.fitted_plan for cfg in tests}))
-    plans = {}
-    for name in plan_names:
-        for n_eff in {spec.n, spec.m} if randomize_roles else {spec.n}:
-            directions = (False, True) if (
-                randomize_directions and name in _DIRECTION_RANDOMIZED
-            ) else (False,)
-            for down in directions:
-                plans[(name, n_eff, down)] = _oriented_plan(name, spec.p, n_eff, down)
 
     # per role assignment, each distinct statistic bound once with its
     # sizes, parameters and scores, and evaluated on every plan's row
     statistics, columns = {}, {}
-    for swapped in (False, True) if randomize_roles else (False,):
+    for swapped in (False, True):
         if swapped and spec.m == spec.n:
             # same sizes either way; both orientations share everything
             statistics[True], columns[True] = statistics[False], columns[False]
@@ -444,30 +426,17 @@ def run_power_study(
             cols.append((index[(cfg.test, cfg.j)], plan_names.index(cfg.fitted_plan), rule))
         statistics[swapped], columns[swapped] = tuple(bound), tuple(cols)
 
-    ctx = _StudyContext(
-        spec=spec,
-        tests=tests,
-        plan_names=plan_names,
-        plans=plans,
-        statistics=statistics,
-        columns=columns,
-        base_seed=base_seed,
-        randomize_roles=randomize_roles,
-        permute_columns=permute_columns,
-        randomize_directions=randomize_directions,
-        max_tie_retries=max_tie_retries,
-    )
+    ctx = _StudyContext(spec, tests, plan_names, statistics, columns, base_seed)
 
-    if workers <= 1:
+    if workers == 1:
         rejections, retries = _run_replicates(ctx, 0, n_replicates)
     else:
         n_chunks = min(n_replicates, workers * 4)
-        bounds = np.linspace(0, n_replicates, n_chunks + 1, dtype=int)
-        tasks = [(ctx, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+        bounds = np.linspace(0, n_replicates, n_chunks + 1, dtype=int).tolist()
         rejections = np.zeros(len(tests), dtype=np.int64)
         retries = 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for rej, ret in pool.map(_run_chunk, tasks):
+            for rej, ret in pool.map(_run_replicates, repeat(ctx), bounds[:-1], bounds[1:]):
                 rejections += rej
                 retries += ret
 
@@ -565,9 +534,6 @@ def _standard_generator(name: str):
 # points per kernel call of the uniformity check: bounds the stacked
 # samples at about 4 MB for p = 8
 _UNIFORMITY_BATCH_POINTS = 1 << 16
-# tied reference samples drawn since the last untied one before the
-# uniformity check gives up, as the power harness's max_tie_retries
-_UNIFORMITY_MAX_TIED = 100
 
 
 def frequency_uniformity_check(
@@ -615,7 +581,7 @@ def frequency_uniformity_check(
         # over from the batch before
         untied = np.flatnonzero(~fitted.tied)
         runs = np.diff(untied, prepend=-1 - tied_run, append=size) - 1
-        if runs.max() > _UNIFORMITY_MAX_TIED:
+        if runs.max() > _MAX_TIED:
             raise TieError(
                 f"{runs.max()} reference samples in a row have tied values; "
                 "the generator must draw from a continuous law"

@@ -317,11 +317,23 @@ def default_maximal_block_j(n: int) -> int:
 # --- the statistic table ------------------------------------------------------
 
 
+# the parameter resolvers refuse a j or scores their statistic does not take
+_NO_J = "j applies only to precedence and maximal_block"
+_NO_SCORES = "scores apply only to the linear rank tests"
+
+
+def _no_params(m: int, n: int, j, scores) -> None:
+    if j is not None or scores is not None:
+        raise ValueError(_NO_J if j is not None else _NO_SCORES)
+
+
 def _j_param(default, top_offset: int):
     """Block count j: ``default(n)`` when unset, checked against
     [1, n + top_offset]."""
 
     def resolve(m: int, n: int, j, scores) -> int:
+        if scores is not None:
+            raise ValueError(_NO_SCORES)
         j = default(n) if j is None else j
         if not 1 <= j <= n + top_offset:
             raise ValueError(f"j must be in [1, {n + top_offset}], got {j}")
@@ -333,6 +345,8 @@ def _j_param(default, top_offset: int):
 def _score_params(m: int, n: int, j, scores) -> ScoreVector:
     """A family name (Wilcoxon when unset), a ScoreVector, or raw
     scores, checked to have length m + n."""
+    if j is not None:
+        raise ValueError(_NO_J)
     if scores is None or isinstance(scores, (str, ScoreFamily)):
         sv = make_scores(scores or ScoreFamily.WILCOXON, m, n)
     else:
@@ -378,7 +392,8 @@ class BlockStatistic:
     method=, n_draws=, seed=)`` builds the null reference; entries
     without ``methods`` ignore the keywords, their closed forms are
     always exact.  ``params(m, n, j, scores)`` applies the parameter
-    defaults and range checks.  ``alternative`` is the default
+    defaults and range checks, and refuses a parameter the statistic
+    does not take.  ``alternative`` is the default
     alternative; None marks a joint law that has no test.
     """
 
@@ -386,7 +401,7 @@ class BlockStatistic:
     statistic: Callable
     null: Callable
     alternative: str | None
-    params: Callable = lambda m, n, j, scores: None
+    params: Callable = _no_params
     value: Callable = lambda v, m, n, params, exact: int(v)
     methods: bool = False
 

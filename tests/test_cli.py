@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from seblocks import cli
+from seblocks import cli, simulate
 from seblocks.partition import Sample
 
 Y_TOY = [
@@ -305,3 +305,48 @@ class TestPowerCommand:
 
     def test_unknown_config(self, capsys):
         assert cli.main(["power", "--config", "no_such_config"]) == 1
+
+    @pytest.mark.parametrize("key", ["null_draw", "randomize_roles", "permute_columns"])
+    def test_an_unknown_top_level_key_is_refused(self, tmp_path, capsys, key):
+        path = self.make_config(tmp_path, **{key: False})
+        assert cli.main(["power", "--config", path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: top level: unknown key {key!r}; known: "
+            "m n p alpha replicates seed null_draws workers runs\n"
+        )
+
+    def test_an_unknown_run_key_is_refused(self, tmp_path, capsys):
+        path = self.make_config(tmp_path, runs=[{"scenario": 3, "cc": 2.0, "tests": "ALL"}])
+        assert cli.main(["power", "--config", path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: runs[0]: unknown key 'cc'; known: scenario c tests\n"
+        )
+
+    def test_an_unknown_test_key_is_refused(self, tmp_path, capsys):
+        tests = [{"test": "wilcoxon"}, {"test": "precedence", "alternatve": "lower"}]
+        path = self.make_config(tmp_path, runs=[{"scenario": 0, "tests": tests}])
+        assert cli.main(["power", "--config", path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: runs[0].tests[1]: unknown key 'alternatve'; "
+            "known: test plan j alternative\n"
+        )
+
+    @pytest.mark.parametrize("workers", ["-3", "0"])
+    def test_a_worker_flag_below_one_is_refused(self, tmp_path, capsys, workers):
+        path = self.make_config(tmp_path, workers=2)
+        assert cli.main(["power", "--config", path, "--workers", workers]) == 1
+        assert capsys.readouterr().err == f"error: workers must be >= 1, got {workers}\n"
+
+    def test_a_config_worker_count_below_one_is_refused(self, tmp_path, capsys):
+        path = self.make_config(tmp_path, workers=0)
+        assert cli.main(["power", "--config", path, "--workers", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {path}: workers must be >= 1\n"
+
+    def test_a_replicate_that_keeps_tying_is_one_line(self, tmp_path, capsys, monkeypatch):
+        def constant(spec, rng):
+            return np.zeros((spec.m, spec.p)), np.zeros((spec.n, spec.p))
+
+        monkeypatch.setattr(simulate, "generate_scenario", constant)
+        assert cli.main(["power", "--config", self.make_config(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: replicate 0 ") and err.count("\n") == 1

@@ -122,6 +122,23 @@ class TestPowerStudy:
         )[0]
         assert abs(est.rejection_rate - 0.1) < 4 * math.sqrt(0.1 * 0.9 / 600)
 
+    def test_a_replicate_that_keeps_tying_raises_tie_error(self, monkeypatch):
+        draws = []
+
+        def constant(spec, rng):
+            draws.append(rng)
+            return np.zeros((spec.m, spec.p)), np.zeros((spec.n, spec.p))
+
+        monkeypatch.setattr(simulate, "generate_scenario", constant)
+        with pytest.raises(TieError, match="replicate 0 .* 101 times in a row"):
+            run_power_study(ScenarioSpec(p=2, m=8, n=6), [TestConfig("empty_block")], 0.1, 5, 1)
+        assert len(draws) == 101
+
+    def test_a_worker_count_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+            run_power_study(ScenarioSpec(p=2, m=8, n=6), [TestConfig("empty_block")], 0.1, 5, 1,
+                            workers=0)
+
     def test_estimate_fields(self):
         spec = ScenarioSpec(scenario=4, c=2.0, p=3, m=15, n=15)
         est = run_power_study(

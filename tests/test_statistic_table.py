@@ -330,6 +330,38 @@ def test_cli_and_library_agree(test, files, capsys):
         assert payload[key] == expected[key], key
 
 
+@pytest.mark.parametrize("test, extra, message", [
+    ("empty_block", ["--j", "5"], twosample._NO_J),
+    ("precedence", ["--scores", "mood"], twosample._NO_SCORES),
+    ("wilcoxon", ["--j", "3"], twosample._NO_J),
+    ("runs", ["--j", "3"], twosample._NO_J),
+    ("runs", ["--scores", "klotz"], twosample._NO_SCORES),
+])
+def test_cli_test_refuses_a_parameter_its_statistic_does_not_take(test, extra, message, files,
+                                                                  capsys):
+    assert _cli_test(files, test, *extra) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_dist_refuses_a_parameter_its_statistic_does_not_take(capsys):
+    argv = ["dist", "--statistic", "empty_block", "--m", "3", "--n", "3"]
+    assert cli.main([*argv, "--j", "2", "--scores", "klotz"]) == 1
+    assert capsys.readouterr().err == f"error: {twosample._NO_J}\n"
+    assert cli.main([*argv, "--scores", "klotz"]) == 1
+    assert capsys.readouterr().err == f"error: {twosample._NO_SCORES}\n"
+
+
+def test_library_and_harness_refuse_a_parameter_the_statistic_does_not_take():
+    freqs = block_frequencies(fit_partition(make_plan("spiral", 2, 6), Y_TOY), X_ALT)
+    with pytest.raises(ValueError, match=twosample._NO_J):
+        twosample.block_test("dixon_c2", freqs, j=2)
+    with pytest.raises(ValueError, match=twosample._NO_SCORES):
+        twosample.block_test("maximal_block", freqs, scores="mood")
+    spec = ScenarioSpec(p=2, m=8, n=6)
+    with pytest.raises(ValueError, match=twosample._NO_J):
+        run_power_study(spec, [TestConfig("wilcoxon", j=3)], 0.1, 5, 1)
+
+
 def test_every_test_name_has_a_table_entry():
     tables = {twosample.statistic_entry(t).name for t in KNOWN_TESTS}
     assert tables | {"interior_exterior"} == set(twosample.STATISTICS)
