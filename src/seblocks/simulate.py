@@ -25,6 +25,7 @@ from .partition import (
     TieError,
     fit_partition,
     block_frequencies,
+    canonical_plan,
     make_plan,
 )
 from .twosample import KNOWN_TESTS, SCORE_TESTS, RejectionRule, build_rejection_rule
@@ -198,6 +199,8 @@ class TestConfig:
     ``j`` applies to precedence and maximal-block tests only (defaults:
     half the blocks, and all blocks, respectively).  Score tests default to
     two-sided alternatives; concentration statistics are one-sided.
+    ``plan`` is any label ``make_plan`` accepts, kept as written for the
+    estimates; an alias runs exactly as the plan it names.
     """
 
     __test__ = False  # not a pytest collectible
@@ -210,6 +213,7 @@ class TestConfig:
     def __post_init__(self):
         name = twosample.canonical_test(self.test)
         object.__setattr__(self, "test", name)
+        canonical_plan(self.plan)  # an unknown plan is refused here
         alt = self.alternative or twosample.statistic_entry(name).alternative
         object.__setattr__(self, "alternative", twosample._check_alternative(alt))
 
@@ -219,9 +223,10 @@ class TestConfig:
 
     @property
     def fitted_plan(self) -> str:
-        """The plan the blocks come from: the label's, but runs counts the
-        runs of the sorted pooled sample, whose order univariate blocks keep."""
-        return "univariate" if self.test == "runs" else self.plan
+        """The canonical name of the plan the blocks come from: the
+        label's, but runs counts the runs of the sorted pooled sample,
+        whose order univariate blocks keep."""
+        return "univariate" if self.test == "runs" else canonical_plan(self.plan)
 
 
 @dataclass(frozen=True)

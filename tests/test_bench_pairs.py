@@ -1,0 +1,90 @@
+import importlib.util
+import json
+import subprocess
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+# a stand-in for perfbench/run.py: logs its side and arguments, and
+# reports op_ms and rate from the side's file
+FAKE_RUN = """import json, sys
+from pathlib import Path
+here = Path(__file__).resolve().parents[1]
+with open(here.parent / "order.log", "a") as log:
+    log.write(here.name + " " + " ".join(sys.argv[1:]) + "\\n")
+values = json.loads((here / "values.json").read_text())
+print(json.dumps({"perfbench": {}}))
+print(json.dumps({"correct": True, "attempted": 5, "failed": 0, "metrics": {
+    "op_ms": {"value": values["op_ms"], "unit": "ms"},
+    "rate": {"value": values["rate"], "unit": "1/s"}}}))
+"""
+BENCHMARK = {
+    "run_seconds": 3,
+    "workloads": [{"name": "w1"}, {"name": "w2"}],
+    "end_to_end": [
+        {"name": "op_ms", "unit": "ms", "better": "lower"},
+        {"name": "rate", "unit": "1/s", "better": "higher"},
+    ],
+}
+
+
+def _checkout(root: Path, name: str, op_ms: float, rate: float) -> Path:
+    side = root / name
+    (side / "perfbench").mkdir(parents=True)
+    (side / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (side / "values.json").write_text(json.dumps({"op_ms": op_ms, "rate": rate}))
+    (side / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    return side
+
+
+def test_pairs_alternate_and_count_wins_per_metric(tmp_path, capsys):
+    parent = _checkout(tmp_path, "parent", op_ms=2.0, rate=10.0)
+    change = _checkout(tmp_path, "change", op_ms=1.0, rate=10.0)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--seed", "4", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    runs = (tmp_path / "order.log").read_text().splitlines()
+    assert len(runs) == 2 * 2 * 10
+    assert [line.split()[0] for line in runs[:4]] == ["parent", "change", "change", "parent"]
+    assert runs[0].split()[1:] == ["--workload", "w1", "--seed", "4", "--seconds", "3", "--trace", "0"]
+    result = json.loads(out.read_text())
+    assert set(result["seeds"]["4"]) == {"w1", "w2"}
+    table = result["seeds"]["4"]["w2"]["metrics"]
+    assert table["op_ms"]["change_wins"] == 10 and table["op_ms"]["parent_wins"] == 0
+    assert table["op_ms"]["parent"]["median"] == 2.0 and table["op_ms"]["change"]["q3"] == 1.0
+    # equal values are ties, which count for neither side
+    assert table["rate"]["change_wins"] == 0 and table["rate"]["parent_wins"] == 0
+    assert "seed 4 w2 op_ms: parent 2 [2, 2] -> change 1 [1, 1] ms" in capsys.readouterr().out
+
+
+def test_compare_follows_the_metric_direction():
+    def run(rate):
+        return {"metrics": {"rate": {"value": rate, "unit": "1/s"}}}
+
+    metrics = {"rate": {"unit": "1/s", "better": "higher"}}
+    table = bench_pairs.compare([run(1.0), run(3.0)], [run(2.0), run(2.0)], metrics)
+    assert (table["rate"]["change_wins"], table["rate"]["parent_wins"]) == (1, 1)
+
+
+def _git(repo: Path, *args: str):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo,
+                   check=True, capture_output=True)
+
+
+def test_code_identity_names_uncommitted_code(tmp_path):
+    assert bench_pairs.code_identity(tmp_path) == {"head": None, "diff_sha256": None}
+    _git(tmp_path, "init", "-q")
+    (tmp_path / "a.py").write_text("x = 1\n")
+    _git(tmp_path, "add", "a.py")
+    _git(tmp_path, "commit", "-q", "-m", "a")
+    clean = bench_pairs.code_identity(tmp_path)
+    assert len(clean["head"]) == 40 and clean["diff_sha256"] is None
+    (tmp_path / "a.py").write_text("x = 2\n")
+    edited = bench_pairs.code_identity(tmp_path)
+    assert edited["head"] == clean["head"] and edited["diff_sha256"] is not None
+    # an untracked file is part of the code too
+    (tmp_path / "b.py").write_text("y = 1\n")
+    assert bench_pairs.code_identity(tmp_path)["diff_sha256"] != edited["diff_sha256"]

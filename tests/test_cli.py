@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -350,3 +351,40 @@ class TestPowerCommand:
         assert cli.main(["power", "--config", self.make_config(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: replicate 0 ") and err.count("\n") == 1
+
+    # digests of the CSV and JSON files, recorded before the assignment
+    # kernel counted thresholds per (column, direction) pair; m != n, so
+    # both role assignments run, and every plan name, score, block and
+    # Dixon column and the j and alternative keys are covered
+    @pytest.mark.parametrize("cfg, csv_md5, json_md5", [
+        ({"m": 26, "n": 19, "p": 3, "alpha": 0.1, "replicates": 200, "seed": 20261018,
+          "null_draws": 2000, "runs": [
+              {"scenario": 2, "c": 1.5, "tests": [
+                  {"test": "wilcoxon", "plan": "spiral"},
+                  {"test": "van_der_waerden", "plan": "spiral_cycle_all", "alternative": "lower"},
+                  {"test": "terry_hoeffding", "plan": "spiral_paired"},
+                  {"test": "mood", "plan": "stairstep"},
+                  {"test": "klotz", "plan": "stairstep_max", "alternative": "upper"},
+                  {"test": "siegel_tukey", "plan": "stairstep_cycle_all"},
+                  {"test": "dixon_c2", "plan": "stairstep_reversing"},
+                  {"test": "precedence", "plan": "spiral", "j": 4},
+                  {"test": "maximal_block", "plan": "stairstep", "j": 6},
+                  {"test": "empty_block", "plan": "spiral_paired"},
+              ]},
+              {"scenario": 0, "tests": "ALL"},
+          ]},
+         "42ab68d91738f67f0f5516615b028df0", "56c3e354192cc48735ca6462b63ee59a"),
+        ({"m": 14, "n": 17, "p": 1, "replicates": 200, "seed": 7, "null_draws": 2000,
+          "runs": [{"scenario": 4, "c": 3.0, "tests": [
+              {"test": "wilcoxon", "plan": "univariate"},
+              {"test": "empty_block", "plan": "univariate_desc"},
+              {"test": "runs"},
+          ]}]},
+         "fbbd18720af34e267004d5fd1af94e91", "395dcfb52d3a51aa1047cad01299a727"),
+    ], ids=["p3", "univariate"])
+    def test_output_files_are_pinned(self, tmp_path, cfg, csv_md5, json_md5):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["power", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert hashlib.md5((tmp_path / "out.csv").read_bytes()).hexdigest() == csv_md5
+        assert hashlib.md5((tmp_path / "out.json").read_bytes()).hexdigest() == json_md5

@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seblocks import partition
 from seblocks.partition import (
+    PLAN_NAMES,
     BlockFrequencies,
     CutRule,
     Direction,
     FittedBatch,
+    FittedPartition,
     FrequencyBatch,
     PartitionPlan,
     PlanLabel,
@@ -15,6 +18,7 @@ from seblocks.partition import (
     TieError,
     assign_block,
     block_frequencies,
+    canonical_plan,
     figure_axes,
     fit_partition,
     make_plan,
@@ -139,6 +143,19 @@ class TestPlans:
     def test_unknown_label(self):
         with pytest.raises(ValueError):
             make_plan("zigzag", 2, 3)
+        with pytest.raises(ValueError, match="unknown plan label 'zigzag'"):
+            canonical_plan("zigzag")
+        assert all(canonical_plan(name) == name for name in PLAN_NAMES)
+
+    @pytest.mark.parametrize(
+        "label, name",
+        [("sp", "spiral"), ("SPIRAL", "spiral"), ("ss", "stairstep"), ("Stair-Step", "stairstep"),
+         ("univariate_asc", "univariate"), (PlanLabel.UNIVARIATE_DESC, "univariate_desc")],
+    )
+    def test_aliases_name_one_plan(self, label, name):
+        p = 1 if name.startswith("univariate") else 3
+        assert canonical_plan(label) == name
+        assert make_plan(label, p, 9) == make_plan(name, p, 9)
 
 
 class TestFitPartition:
@@ -251,6 +268,33 @@ class TestAssignAndCount:
         with pytest.raises(ValueError, match="non-finite"):
             assign_block(fitted, [np.nan])
 
+    @pytest.mark.parametrize("name, delta", [("spiral", -1.0), ("stairstep_max", 1.0)])
+    def test_a_partition_no_reference_sample_gives_is_refused(self, name, delta):
+        # cuts 0 and 4 share one (column, direction) pair; its second
+        # threshold moves below the first (above it, for a MAX pair)
+        plan = make_plan(name, 2, 6)
+        fitted = fit_partition(plan, Sample(Y_TOY))
+        assert FittedPartition(plan, fitted.thresholds, fitted.cut_point_indices) == fitted
+        thresholds = list(fitted.thresholds)
+        thresholds[4] = thresholds[0] + delta
+        with pytest.raises(ValueError, match=r"\(column, direction\) pair must not fall"):
+            FittedPartition(plan, tuple(thresholds), fitted.cut_point_indices)
+        # a NaN compares false either way, so order alone would pass it
+        between = list(fitted.thresholds)
+        between[4] = np.nan
+        with pytest.raises(ValueError, match="thresholds must be finite"):
+            FittedPartition(plan, tuple(between), fitted.cut_point_indices)
+        # row 1 of a batch, tied rows included, where row 0 is valid
+        batch = fit_partition(plan, np.array([Y_TOY, Y_TOY[:1] * 6]))
+        assert batch.tied.tolist() == [False, True]
+        rows = batch.thresholds.copy()
+        rows[1] = thresholds
+        with pytest.raises(ValueError, match="must not fall"):
+            FittedBatch(plan, rows, batch.cut_point_indices, batch.tied)
+        rows[1] = between
+        with pytest.raises(ValueError, match="must be finite"):
+            FittedBatch(plan, rows, batch.cut_point_indices, batch.tied)
+
     def test_counts_validate(self):
         with pytest.raises(ValueError):
             BlockFrequencies((1, 2), m=3, n=2)
@@ -299,13 +343,6 @@ class TestPartitionProperties:
         assert warped == base
 
 
-# every plan name make_plan builds (aliases build the same plans)
-PLAN_NAMES = (
-    "spiral", "spiral_cycle_all", "spiral_paired", "stairstep", "stairstep_max",
-    "stairstep_cycle_all", "stairstep_reversing", "univariate", "univariate_desc",
-)
-
-
 def _blocks_by_definition(plan, y, x):
     """Thresholds, cut rows, block counts and boundary ties, cut by cut
     in plain Python: each cut takes the first extreme of the remaining
@@ -333,7 +370,7 @@ def _blocks_by_definition(plan, y, x):
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5])
-@pytest.mark.parametrize("n", [1, 2, 3, 17])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 60])
 def test_batched_kernel_matches_the_definition_row_by_row(p, n):
     rng = np.random.default_rng(1000 * p + n)
     names = [name for name in PLAN_NAMES if (p == 1) == name.startswith("univariate")]
@@ -365,6 +402,23 @@ def test_batched_kernel_matches_the_definition_row_by_row(p, n):
             assert (single.thresholds, single.cut_point_indices) == want[:2]
             one = block_frequencies(single, xs[r])
             assert (one.counts, one.boundary_ties) == want[2:]
+
+
+@pytest.mark.parametrize("cells", [1, 100])
+def test_chunked_assignment_matches_the_definition(monkeypatch, cells):
+    # one comparison point per chunk, and two to eight points per chunk
+    monkeypatch.setattr(partition, "_ASSIGN_CHUNK_CELLS", cells)
+    rng = np.random.default_rng(cells)
+    for name, r_count in [("spiral", 1), ("stairstep_reversing", 3), ("spiral_paired", 2)]:
+        plan = make_plan(name, 3, 11)
+        ys = rng.standard_normal((r_count, 11, 3))
+        xs = rng.standard_normal((r_count, 25, 3))
+        xs[:, :11] = np.where(rng.random((r_count, 11, 3)) < 0.5, ys, xs[:, :11])
+        freqs = block_frequencies(fit_partition(plan, ys), xs)
+        for r in range(r_count):
+            want = _blocks_by_definition(plan, ys[r], xs[r])
+            assert tuple(freqs.counts[r].tolist()) == want[2], (name, r)
+            assert int(freqs.boundary_ties[r]) == want[3], (name, r)
 
 
 class TestBatchArguments:

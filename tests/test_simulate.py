@@ -176,6 +176,29 @@ class TestPowerStudy:
         assert TestConfig("eb").test == "empty_block"
         assert TestConfig("eb").alternative == "upper"
 
+    def test_unknown_plan_rejected(self):
+        with pytest.raises(ValueError, match="unknown plan label 'zigzag'"):
+            TestConfig("wilcoxon", "zigzag")
+
+    def test_plan_aliases_run_as_the_plan_they_name(self):
+        # an alias shares its plan's row and direction coin; only the
+        # estimate's label keeps the spelling
+        spec = ScenarioSpec(scenario=3, c=2.0, p=3, m=30, n=20)
+        aliased = run_power_study(
+            spec,
+            [TestConfig("wilcoxon", "spiral"), TestConfig("wilcoxon", "sp"),
+             TestConfig("empty_block", "Stair-Step"), TestConfig("empty_block", "ss")],
+            0.05, 200, 3, n_null_draws=2000,
+        )
+        canonical = run_power_study(
+            spec,
+            [TestConfig("wilcoxon", "spiral"), TestConfig("wilcoxon", "spiral"),
+             TestConfig("empty_block", "stairstep"), TestConfig("empty_block", "stairstep")],
+            0.05, 200, 3, n_null_draws=2000,
+        )
+        assert [e.rejections for e in aliased] == [e.rejections for e in canonical]
+        assert [e.plan for e in aliased] == ["spiral", "sp", "Stair-Step", "ss"]
+
     def test_scaling_invariance_end_to_end(self):
         # multiplying one coordinate of both samples by a constant
         # leaves every decision unchanged
