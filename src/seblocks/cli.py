@@ -258,7 +258,6 @@ def _refuse_unknown_keys(entry: dict, known: tuple, where: str):
 
 
 def _load_power_config(path: str) -> dict:
-    text = None
     if Path(path).is_file():
         text = Path(path).read_text()
         origin = path
@@ -451,10 +450,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (TieError, CapacityError, ValueError) as exc:
+    except (CliError, TieError, CapacityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -111,6 +111,29 @@ class CutRule:
             raise ValueError(f"component must be a positive integer, got {self.component}")
 
 
+class _PairTable(NamedTuple):
+    """How a plan's cuts use the distinct (column, direction) pairs.
+
+    The pairs are (column, is_min) in sorted order; ``columns`` and
+    ``signs`` give each pair's 0-based column and sign (-1 for MAX,
+    whose values are negated).  Per cut: ``slots`` its pair's index,
+    ``cut_columns`` its column and ``cut_signs`` its sign.
+    ``used_columns`` are the sorted columns the cuts project on.  Row j
+    of the (pairs, width + 1) ``table`` lists pair j's cuts in order,
+    padded with n: entry c is the first of pair j's cuts that closes a
+    point with c of the pair's signed thresholds strictly below its
+    signed value, or n when none of them closes it.
+    """
+
+    columns: np.ndarray
+    signs: np.ndarray
+    slots: tuple[int, ...]
+    cut_columns: np.ndarray
+    cut_signs: np.ndarray
+    used_columns: list[int]
+    table: np.ndarray
+
+
 @dataclass(frozen=True)
 class PartitionPlan:
     """A data-independent schedule of n cuts for p-dimensional data.
@@ -143,48 +166,33 @@ class PartitionPlan:
         return self.n + 1
 
     @cached_property
-    def _columns(self) -> np.ndarray:
-        """0-based coordinate of each cut."""
-        return np.array([rule.component - 1 for rule in self.cuts], dtype=np.intp)
-
-    @cached_property
-    def _used_columns(self) -> list[int]:
-        return sorted({rule.component - 1 for rule in self.cuts})
-
-    @cached_property
-    def _cut_pairs(self) -> tuple[tuple, tuple[int, ...]]:
-        """The distinct (column, is_min) pairs the cuts use, and each
-        cut's index into them."""
+    def _pair_table(self) -> _PairTable:
         keys = [(rule.component - 1, rule.direction is Direction.MIN) for rule in self.cuts]
-        pairs = tuple(sorted(set(keys)))
-        return pairs, tuple(pairs.index(key) for key in keys)
-
-    @cached_property
-    def _pair_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The assignment layout of the (column, direction) pairs: each
-        pair's column and sign (-1 for MAX, whose values are negated),
-        each cut's sign, and a (pairs, width + 1) table whose row j
-        lists pair j's cuts in order, padded with n.  Entry c of row j
-        is the first of pair j's cuts that closes a point with c of the
-        pair's signed thresholds strictly below its signed value, or n
-        when none of them closes it."""
-        pairs, slots = self._cut_pairs
+        pairs = sorted(set(keys))
+        slots = tuple(pairs.index(key) for key in keys)
         members = [[k for k, s in enumerate(slots) if s == j] for j in range(len(pairs))]
         table = np.full((len(pairs), max(map(len, members)) + 1), self.n, dtype=np.intp)
         for row, cuts in zip(table, members):
             row[: len(cuts)] = cuts
-        columns = np.array([col for col, _ in pairs], dtype=np.intp)
         signs = np.array([1.0 if is_min else -1.0 for _, is_min in pairs])
-        return columns, signs, signs[list(slots)], table
+        return _PairTable(
+            columns=np.array([col for col, _ in pairs], dtype=np.intp),
+            signs=signs,
+            slots=slots,
+            cut_columns=np.array([col for col, _ in keys], dtype=np.intp),
+            cut_signs=signs[list(slots)],
+            used_columns=sorted({col for col, _ in pairs}),
+            table=table,
+        )
 
     def _signed_pair_thresholds(self, thresholds: np.ndarray) -> np.ndarray:
         """(R, pairs, width) signed thresholds of each pair's cuts in
         order, from (R, n) ``thresholds``; the padding reads +inf."""
-        _, _, cut_signs, table = self._pair_table
+        layout = self._pair_table
         signed = np.empty((thresholds.shape[0], self.n + 1))
-        np.multiply(thresholds, cut_signs, out=signed[:, : self.n])
+        np.multiply(thresholds, layout.cut_signs, out=signed[:, : self.n])
         signed[:, self.n] = np.inf
-        return signed[:, table[:, :-1]]
+        return signed[:, layout.table[:, :-1]]
 
 
 def make_univariate_plan(n: int, ascending: bool = True) -> PartitionPlan:
@@ -506,21 +514,21 @@ def _fit_kernel(plan: PartitionPlan, pts: np.ndarray):
     Each cut is one ``argmin`` over every sample's rows still alive.
     """
     r_count, n = pts.shape[:2]
-    ordered = np.sort(pts[:, :, plan._used_columns], axis=1)
+    layout = plan._pair_table
+    ordered = np.sort(pts[:, :, layout.used_columns], axis=1)
     tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=(1, 2))
     # one working copy per (column, direction) the cuts use; MAX columns
     # are negated so every cut takes a minimum, excluded rows read +inf
-    pairs, slots = plan._cut_pairs
-    work = np.empty((len(pairs), r_count, n))
-    for j, (col, is_min) in enumerate(pairs):
-        np.multiply(pts[:, :, col], 1.0 if is_min else -1.0, out=work[j])
+    work = np.multiply(
+        pts[:, :, layout.columns].transpose(2, 0, 1), layout.signs[:, None, None], order="C"
+    )
     rows = np.arange(r_count)
     picks = np.empty((n, r_count), dtype=np.intp)
-    for k, j in enumerate(slots):
+    for k, j in enumerate(layout.slots):
         picks[k] = pick = work[j].argmin(axis=1)
         work[:, rows, pick] = np.inf
     picks = picks.T
-    return pts[rows[:, None], picks, plan._columns], picks, tied
+    return pts[rows[:, None], picks, layout.cut_columns], picks, tied
 
 
 # cells of the (R, points, pairs, width) comparison per chunk of
@@ -544,12 +552,12 @@ def _assign_kernel(plan: PartitionPlan, thresholds: np.ndarray, pts: np.ndarray)
     residual block n.
     """
     n = plan.n
-    columns, signs, _, table = plan._pair_table
+    layout = plan._pair_table
     r_count, m = pts.shape[:2]
-    n_pairs, width = table.shape[0], table.shape[1] - 1
+    n_pairs, width = layout.table.shape[0], layout.table.shape[1] - 1
     limits = plan._signed_pair_thresholds(thresholds)[:, None]
-    signed = (pts[:, :, columns] * signs)[..., None]
-    flat, offsets = table.ravel(), np.arange(n_pairs) * (width + 1)
+    signed = (pts[:, :, layout.columns] * layout.signs)[..., None]
+    flat, offsets = layout.table.ravel(), np.arange(n_pairs) * (width + 1)
     blocks = np.empty((r_count, m), dtype=np.intp)
     step = max(1, _ASSIGN_CHUNK_CELLS // (r_count * n_pairs * width))
     for lo in range(0, m, step):
@@ -559,7 +567,7 @@ def _assign_kernel(plan: PartitionPlan, thresholds: np.ndarray, pts: np.ndarray)
     # equals that cut's threshold
     rows = np.arange(r_count)[:, None]
     cut = np.minimum(blocks, n - 1)
-    values = pts[rows, np.arange(m), plan._columns[cut]]
+    values = pts[rows, np.arange(m), layout.cut_columns[cut]]
     return blocks, values == thresholds[rows, cut]
 
 
@@ -605,7 +613,7 @@ def fit_partition(
         return FittedBatch(plan, *_fit_kernel(plan, pts))
     thresholds, picks, tied = _fit_kernel(plan, pts[None])
     if tied[0]:
-        dup_cols = [c for c in plan._used_columns if np.unique(pts[:, c]).size < plan.n]
+        dup_cols = [c for c in plan._pair_table.used_columns if np.unique(pts[:, c]).size < plan.n]
         if on_ties == "error":
             raise TieError(
                 f"tied projected values on coordinate {dup_cols[0] + 1}; "

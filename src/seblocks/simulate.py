@@ -291,15 +291,14 @@ def _draw_replicate(spec: ScenarioSpec, base_seed: int, r: int, attempt: int, k_
     """Replicate r's draw from the substream (base_seed, r, attempt): the
     samples, a role swap, one coordinate permutation for both, the
     direction coin and a decision uniform per test, in that order.
-    Returns ``x, y, swapped, descending, uniforms``; ``y`` partitions."""
+    Returns ``x, y, descending, uniforms``; ``y`` partitions."""
     rng = np.random.default_rng((base_seed, r, attempt))
     x, y = generate_scenario(spec, rng)
-    swapped = rng.random() < 0.5
-    if swapped:
+    if rng.random() < 0.5:
         x, y = y, x
     perm = rng.permutation(spec.p)
     descending = rng.random() < 0.5
-    return x[:, perm], y[:, perm], swapped, descending, rng.random(k_tests).tolist()
+    return x[:, perm], y[:, perm], descending, rng.random(k_tests).tolist()
 
 
 @dataclass(frozen=True)
@@ -307,8 +306,8 @@ class _StudyContext:
     spec: ScenarioSpec
     tests: tuple[TestConfig, ...]
     plan_names: tuple[str, ...]
-    # per roles-swapped flag: the distinct bound statistics, and per
-    # column (its statistic's index, its plan's row, its rejection rule)
+    # per reference size: the distinct bound statistics, and per column
+    # (its statistic's index, its plan's row, its rejection rule)
     statistics: dict
     columns: dict
     base_seed: int
@@ -324,18 +323,18 @@ def _run_replicates(ctx: _StudyContext, start: int, stop: int) -> tuple[np.ndarr
     k_tests, k_plans = len(ctx.tests), len(ctx.plan_names)
     rejections = [0] * k_tests
     retries = 0
-    # per roles-swapped flag: the block counts of each plan, replicate
-    # after replicate, and each replicate's decision uniforms
-    pending = {False: ([], []), True: ([], [])}
+    # per reference size: the block counts of each plan, replicate after
+    # replicate, and each replicate's decision uniforms
+    pending = {n: ([], []) for n in ctx.statistics}
 
-    def decide_pending(swapped: bool):
-        rows, uniforms = pending[swapped]
+    def decide_pending(n: int):
+        rows, uniforms = pending[n]
         if not uniforms:
             return
-        counts = np.array(rows, dtype=np.int64)
-        values = [statistic(counts) for statistic in ctx.statistics[swapped]]
+        counts = np.stack(rows)
+        values = [statistic(counts) for statistic in ctx.statistics[n]]
         for j, u in enumerate(uniforms):
-            for i, (s, row, rule) in enumerate(ctx.columns[swapped]):
+            for i, (s, row, rule) in enumerate(ctx.columns[n]):
                 if rule.decide(values[s][j * k_plans + row], u[i]):
                     rejections[i] += 1
         rows.clear()
@@ -343,32 +342,28 @@ def _run_replicates(ctx: _StudyContext, start: int, stop: int) -> tuple[np.ndarr
 
     for r in range(start, stop):
         for attempt in range(_MAX_TIED + 1):
-            x, y, swapped, descending, uniforms = _draw_replicate(
-                spec, ctx.base_seed, r, attempt, k_tests
-            )
-            try:
-                counts = [
-                    block_frequencies(
-                        fit_partition(_oriented_plan(name, spec.p, y.shape[0], descending), y), x
-                    ).counts
-                    for name in ctx.plan_names
-                ]
-            except TieError:
+            x, y, descending, uniforms = _draw_replicate(spec, ctx.base_seed, r, attempt, k_tests)
+            n = y.shape[0]
+            fits = [
+                fit_partition(_oriented_plan(name, spec.p, n, descending), y[None])
+                for name in ctx.plan_names
+            ]
+            if any(fit.tied[0] for fit in fits):
                 retries += 1
                 continue
-            rows, chunk = pending[swapped]
-            rows.extend(counts)
+            rows, chunk = pending[n]
+            rows.extend(block_frequencies(fit, x[None]).counts[0] for fit in fits)
             chunk.append(uniforms)
             if len(chunk) == _STATISTIC_CHUNK:
-                decide_pending(swapped)
+                decide_pending(n)
             break
         else:
             raise TieError(
                 f"replicate {r} drew a reference sample with tied values "
                 f"{_MAX_TIED + 1} times in a row"
             )
-    decide_pending(False)
-    decide_pending(True)
+    for n in pending:
+        decide_pending(n)
     return np.array(rejections, dtype=np.int64), retries
 
 
@@ -407,15 +402,11 @@ def run_power_study(
 
     plan_names = tuple(sorted({cfg.fitted_plan for cfg in tests}))
 
-    # per role assignment, each distinct statistic bound once with its
-    # sizes, parameters and scores, and evaluated on every plan's row
+    # per reference size (one when m = n), each distinct statistic bound
+    # once with its sizes, parameters and scores, and evaluated on every
+    # plan's row
     statistics, columns = {}, {}
-    for swapped in (False, True):
-        if swapped and spec.m == spec.n:
-            # same sizes either way; both orientations share everything
-            statistics[True], columns[True] = statistics[False], columns[False]
-            continue
-        m_eff, n_eff = (spec.n, spec.m) if swapped else (spec.m, spec.n)
+    for m_eff, n_eff in dict.fromkeys([(spec.m, spec.n), (spec.n, spec.m)]):
         index, bound, cols = {}, [], []
         for i, cfg in enumerate(tests):
             seed_key = (base_seed, _NULL_SEED_TAG, i, m_eff, n_eff)
@@ -429,7 +420,7 @@ def run_power_study(
                 index[(cfg.test, cfg.j)] = len(bound)
                 bound.append(entry.bind(m_eff, n_eff, params, method == "exact"))
             cols.append((index[(cfg.test, cfg.j)], plan_names.index(cfg.fitted_plan), rule))
-        statistics[swapped], columns[swapped] = tuple(bound), tuple(cols)
+        statistics[n_eff], columns[n_eff] = tuple(bound), tuple(cols)
 
     ctx = _StudyContext(spec, tests, plan_names, statistics, columns, base_seed)
 
@@ -513,11 +504,12 @@ class UniformityReport:
     @property
     def max_se_deviation(self) -> float:
         """Largest |observed - expected| share in standard-error units,
-        across all achievable vectors (missing ones count as zero)."""
+        across all achievable vectors: a vector never seen deviates by
+        exactly u / se."""
         u = self.expected_probability
         se = math.sqrt(u * (1.0 - u) / self.replicates)
-        seen = [self.counts.get(v, 0) for v in _all_vectors(self.m, self.n)]
-        return max(abs(c / self.replicates - u) / se for c in seen)
+        seen = [abs(c / self.replicates - u) / se for c in self.counts.values()]
+        return max(seen + [u / se] * (len(self.counts) < self.n_possible))
 
 
 @lru_cache(maxsize=16)
@@ -569,7 +561,7 @@ def frequency_uniformity_check(
             f"C({m + n}, {n}) = {n_possible} vectors cannot be tabulated"
         )
     draw = _standard_generator(generator) if isinstance(generator, str) else generator
-    plan = make_plan(plan_label, p, n)
+    plan = _oriented_plan(canonical_plan(plan_label), p, n, False)
     vectors = _all_vectors(m, n)  # lexicographic; the report's keys
     rng = np.random.default_rng(seed)
     counts: dict[tuple, int] = {}

@@ -157,6 +157,18 @@ class TestPlans:
         assert canonical_plan(label) == name
         assert make_plan(label, p, 9) == make_plan(name, p, 9)
 
+    def test_pair_table_of_the_illustrated_spiral(self):
+        # cuts: 1 min, 2 min, 1 max, 2 max, 1 min, 2 min, 1 max; the
+        # sorted pairs are (0, max), (0, min), (1, max), (1, min)
+        layout = make_plan("spiral", 3, 7)._pair_table
+        assert layout.columns.tolist() == [0, 0, 1, 1]
+        assert layout.signs.tolist() == [-1.0, 1.0, -1.0, 1.0]
+        assert layout.slots == (1, 3, 0, 2, 1, 3, 0)
+        assert layout.cut_columns.tolist() == [0, 1, 0, 1, 0, 1, 0]
+        assert layout.cut_signs.tolist() == [1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0]
+        assert layout.used_columns == [0, 1]
+        assert layout.table.tolist() == [[2, 6, 7], [0, 4, 7], [3, 7, 7], [1, 5, 7]]
+
 
 class TestFitPartition:
     def test_single_axis_thresholds_are_sorted_projections(self):

@@ -1,9 +1,11 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from seblocks import simulate
+from seblocks.nulldist import enumerate_frequency_vectors
 from seblocks.partition import Sample, TieError, block_frequencies, fit_partition, make_plan
 from seblocks.simulate import (
     NULL_CASE,
@@ -133,6 +135,31 @@ class TestPowerStudy:
         with pytest.raises(TieError, match="replicate 0 .* 101 times in a row"):
             run_power_study(ScenarioSpec(p=2, m=8, n=6), [TestConfig("empty_block")], 0.1, 5, 1)
         assert len(draws) == 101
+
+    def test_a_tie_that_only_one_plan_sees_redraws_the_replicate(self, monkeypatch):
+        # spiral cuts on the first two coordinates and spiral_cycle_all on
+        # all three, so a tie that lands on the third reaches one plan only
+        spec = ScenarioSpec(scenario=3, c=2.0, p=3, m=12, n=9)
+        tests = [TestConfig("wilcoxon", "spiral"), TestConfig("wilcoxon", "spiral_cycle_all")]
+        generate = simulate.generate_scenario
+
+        def study(position: int):
+            def tie_first_attempts(spec, rng):
+                x, y = generate(spec, rng)
+                if rng.bit_generator.seed_seq.entropy[2] == 0:
+                    ahead = copy.deepcopy(rng)
+                    ahead.random()  # the role swap
+                    col = ahead.permutation(spec.p)[position]  # lands at `position`
+                    x[1, col], y[1, col] = x[0, col], y[0, col]
+                return x, y
+
+            monkeypatch.setattr(simulate, "generate_scenario", tie_first_attempts)
+            return run_power_study(spec, tests, 0.1, 30, 5, n_null_draws=2000)
+
+        one_plan, both_plans = study(2), study(0)
+        assert [e.tie_retries for e in one_plan + both_plans] == [30] * 4
+        # either way every replicate is decided on its second draw
+        assert [e.rejections for e in one_plan] == [e.rejections for e in both_plans]
 
     def test_a_worker_count_below_one_is_refused(self):
         with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
@@ -326,6 +353,29 @@ class TestBatchedUniformity:
         # the keys are the cached vectors themselves, not equal copies
         cached = {id(v) for v in simulate._all_vectors(3, 3)}
         assert all(id(vec) in cached for vec in report.counts)
+
+    @pytest.mark.parametrize("m, n, replicates, all_seen", [
+        (3, 3, 12, False), (4, 2, 5, False), (2, 2, 3000, True), (1, 4, 2000, True),
+    ])
+    def test_max_se_deviation_equals_the_walk_over_every_vector(self, m, n, replicates, all_seen):
+        report = frequency_uniformity_check(m, n, 2, "spiral", replicates, seed=3)
+        assert (len(report.counts) == report.n_possible) == all_seen
+        u = 1.0 / report.n_possible
+        se = math.sqrt(u * (1.0 - u) / replicates)
+        walk = max(
+            abs(report.counts.get(v, 0) / replicates - u) / se
+            for v in enumerate_frequency_vectors(m, n).vectors
+        )
+        assert report.max_se_deviation == walk
+
+    @pytest.mark.parametrize("label, p, match", [
+        ("no_such_plan", 2, "unknown plan label"),
+        ("univariate", 2, "univariate plan requires 1-dimensional data"),
+    ])
+    def test_a_plan_the_check_cannot_build_is_refused(self, label, p, match):
+        for _ in range(2):  # a refusal is not cached away
+            with pytest.raises(ValueError, match=match):
+                frequency_uniformity_check(3, 3, p, label, 10)
 
     def test_vectors_are_sorted_for_the_key_lookup(self):
         for m, n in [(3, 3), (1, 4), (5, 2)]:
