@@ -56,9 +56,14 @@ class CapacityError(ValueError):
 
 def enumeration_cap() -> int:
     """The enumeration cap: the SEBLOCKS_ENUM_CAP environment variable,
-    else the default."""
+    else the default.  A value that is not a non-negative integer is
+    refused; 0 enumerates nothing."""
     env = os.environ.get(ENUM_CAP_ENV)
-    return int(env) if env else DEFAULT_ENUM_CAP
+    if not env:
+        return DEFAULT_ENUM_CAP
+    if not env.isdecimal():
+        raise ValueError(f"{ENUM_CAP_ENV} must be a non-negative integer, got {env!r}")
+    return int(env)
 
 
 def _choose(a: int, b: int) -> int:

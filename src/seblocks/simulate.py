@@ -95,99 +95,56 @@ class ScenarioSpec:
             raise ValueError("scenario covariance is not positive definite") from exc
 
 
-def _shift_vector(p: int, c: float) -> np.ndarray:
-    """Location shift (0, c, c, ...): the first coordinate stays put."""
-    shift = np.full(p, c)
-    if p > 1:
-        shift[0] = 0.0
-    return shift
-
-
-def _normal(spec: ScenarioSpec, k: int, rng, scale: float = 1.0, shift=None) -> np.ndarray:
-    pts = rng.standard_normal((k, spec.p)) @ (spec._chol.T * math.sqrt(scale))
-    if shift is not None:
-        pts = pts + shift
-    return pts
-
-
-def _cauchy(spec: ScenarioSpec, k: int, rng, scale: float = 1.0, shift=None) -> np.ndarray:
-    """Elliptical Cauchy: a correlated normal divided by the magnitude
-    of an independent standard normal (t with one degree of freedom)."""
-    z = _normal(spec, k, rng, scale)
-    w = np.abs(rng.standard_normal((k, 1)))
-    pts = z / w
-    if shift is not None:
-        pts = pts + shift
-    return pts
-
-
-def _cube(spec: ScenarioSpec, k: int, rng) -> np.ndarray:
-    return rng.uniform(0.45, 0.55, (k, spec.p))
-
-
-def _mixture(k: int, rng, weight_alt: float, draw_base, draw_alt) -> np.ndarray:
-    """Per-observation component selection.  Both components are drawn
-    for every observation so the stream advances by a fixed amount."""
-    pick_alt = rng.random(k) < weight_alt
-    base = draw_base(k)
-    alt = draw_alt(k)
-    return np.where(pick_alt[:, None], alt, base)
-
-
 def generate_scenario(spec: ScenarioSpec, rng_or_seed=None) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (x, y) arrays of shape (m, p) and (n, p) for the scenario."""
-    rng = (
-        rng_or_seed
-        if isinstance(rng_or_seed, np.random.Generator)
-        else np.random.default_rng(rng_or_seed)
-    )
-    s, c, m, n = spec.scenario, spec.c, spec.m, spec.n
-    if s == NULL_CASE:
-        return _normal(spec, m, rng), _normal(spec, n, rng)
-    if s == 1:
-        x = _cauchy(spec, m, rng)
-        shift = _shift_vector(spec.p, c)
-        y = _mixture(
-            n, rng, 0.1,
-            lambda k: _cauchy(spec, k, rng),
-            lambda k: _cauchy(spec, k, rng, shift=shift),
-        )
-        return x, y
-    if s == 2:
-        x = _normal(spec, m, rng)
-        shift = _shift_vector(spec.p, c)
-        y = _mixture(
-            n, rng, 0.1,
-            lambda k: _normal(spec, k, rng),
-            lambda k: _normal(spec, k, rng, shift=shift),
-        )
-        return x, y
-    if s == 3:
-        return _normal(spec, m, rng), _normal(spec, n, rng, scale=c)
-    if s == 4:
-        x = _normal(spec, m, rng)
-        y = _mixture(
-            n, rng, 0.1,
-            lambda k: _normal(spec, k, rng),
-            lambda k: _cauchy(spec, k, rng, scale=c),
-        )
-        return x, y
-    if s == 5:
-        x = _cauchy(spec, m, rng)
-        y = _mixture(
-            n, rng, c,
-            lambda k: _cauchy(spec, k, rng),
-            lambda k: _cube(spec, k, rng),
-        )
-        return x, y
-    # scenario 6
-    x = _normal(spec, m, rng)
-    y = _mixture(
-        n, rng, c,
-        lambda k: _normal(spec, k, rng),
-        lambda k: _cube(spec, k, rng),
-    )
-    return x, y
+    """Draw (x, y) arrays of shape (m, p) and (n, p) for the scenario.
+
+    N is the normal law with covariance ``spec.sigma`` and C the
+    elliptical Cauchy law: N divided by the magnitude of an independent
+    standard normal (t with one degree of freedom).  ``x`` follows the
+    base law.  In a mixture each point of ``y`` follows the other law
+    with probability ``weight`` and the base law otherwise; both laws
+    are drawn for every point, so the stream advances by a fixed amount.
+
+    ========  ====  =====================================  ======
+    scenario  base  y                                      weight
+    ========  ====  =====================================  ======
+    0         N     N
+    1         C     mixed with C + (0, c, c, ...)          0.1
+    2         N     mixed with N + (0, c, c, ...)          0.1
+    3         N     N with covariance c * sigma
+    4         N     mixed with C, covariance c * sigma     0.1
+    5         C     mixed with uniform on [0.45, 0.55]^p   c
+    6         N     mixed with uniform on [0.45, 0.55]^p   c
+    ========  ====  =====================================  ======
+
+    The shift leaves the first coordinate in place, except at p = 1,
+    where it is (c).
+    """
+    rng = np.random.default_rng(rng_or_seed)
+    s, c, p, n = spec.scenario, spec.c, spec.p, spec.n
+
+    def normal(k: int, scale: float = 1.0) -> np.ndarray:
+        return rng.standard_normal((k, p)) @ (spec._chol.T * math.sqrt(scale))
+
+    def cauchy(k: int, scale: float = 1.0) -> np.ndarray:
+        return normal(k, scale) / np.abs(rng.standard_normal((k, 1)))
+
+    base = cauchy if s in (1, 5) else normal
+    x = base(spec.m)
+    if s in (NULL_CASE, 3):
+        return x, normal(n, c if s == 3 else 1.0)
+    pick = rng.random(n) < (c if s in (5, 6) else 0.1)
+    y = base(n)
+    if s in (1, 2):
+        shift = np.full(p, c)
+        if p > 1:
+            shift[0] = 0.0
+        other = base(n) + shift
+    elif s == 4:
+        other = cauchy(n, c)
+    else:
+        other = rng.uniform(0.45, 0.55, (n, p))
+    return x, np.where(pick[:, None], other, y)
 
 
 # --- test configurations ---------------------------------------------------
@@ -479,7 +436,7 @@ def coverage_diagnostic(fitted, generator: Callable, draws: int, seed=None) -> C
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     pts = np.asarray(generator(draws, rng), dtype=float)
     counts = np.asarray(block_frequencies(fitted, pts).counts, dtype=float)
     q = counts / draws

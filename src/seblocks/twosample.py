@@ -140,33 +140,14 @@ def expected_normal_order_scores(size: int) -> tuple[float, ...]:
 
 def _siegel_tukey_scores(size: int) -> np.ndarray:
     """Alternating extreme-rank relabeling: 1 to the lowest value, 2 and
-    3 to the two highest, 4 and 5 to the next two lowest, and so on."""
-    scores = np.zeros(size)
-    lo, hi = 0, size - 1
-    rank = 1
-    scores[lo] = rank
-    rank += 1
-    lo += 1
-    from_top = True
-    while lo <= hi:
-        if from_top:
-            scores[hi] = rank
-            rank += 1
-            hi -= 1
-            if lo <= hi:
-                scores[hi] = rank
-                rank += 1
-                hi -= 1
-        else:
-            scores[lo] = rank
-            rank += 1
-            lo += 1
-            if lo <= hi:
-                scores[lo] = rank
-                rank += 1
-                lo += 1
-        from_top = not from_top
-    return scores
+    3 to the two highest, 4 and 5 to the next two lowest, and so on.
+
+    So the k-th rank handed out (from 0) goes to the low end when k % 4
+    is 0 or 3 and to the high end otherwise; the low end fills from the
+    bottom and the high end from the top."""
+    k = np.arange(size)
+    low = np.isin(k % 4, (0, 3))
+    return np.concatenate([k[low], k[~low][::-1]]) + 1.0
 
 
 def make_scores(family: ScoreFamily | str, m: int, n: int) -> ScoreVector:
@@ -786,7 +767,7 @@ def randomized_decision(result: TestResult, alpha: float, seed=None) -> Randomiz
     """
     pmf = _discrete_null(result.null_reference)
     rule = build_rejection_rule(pmf, alpha, result.alternative)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     u = float(rng.random())
     reject = rule.decide(result.statistic, u)
     gamma = float(rule.gamma_at(result.statistic))

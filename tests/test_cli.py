@@ -176,6 +176,12 @@ class TestDistCommand:
         assert code == 1
         assert "monte_carlo" in capsys.readouterr().err
 
+    def test_a_malformed_cap_is_one_error_line(self, monkeypatch, capsys):
+        monkeypatch.setenv("SEBLOCKS_ENUM_CAP", "abc")
+        assert cli.main(["dist", "--statistic", "dixon_c2", "--m", "4", "--n", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SEBLOCKS_ENUM_CAP ") and err.count("\n") == 1
+
     def test_out_file(self, tmp_path):
         out = tmp_path / "pmf.csv"
         code = cli.main([

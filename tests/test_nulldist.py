@@ -69,6 +69,18 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             enumerate_frequency_vectors(3, 3)
 
+    @pytest.mark.parametrize("value", ["abc", "1e6", "-5"])
+    def test_a_malformed_cap_is_refused(self, monkeypatch, value):
+        monkeypatch.setenv("SEBLOCKS_ENUM_CAP", value)
+        with pytest.raises(ValueError, match=f"SEBLOCKS_ENUM_CAP must be a non-negative integer, got '{value}'"):
+            enumeration_cap()
+
+    def test_a_zero_cap_enumerates_nothing(self, monkeypatch):
+        monkeypatch.setenv("SEBLOCKS_ENUM_CAP", "0")
+        assert enumeration_cap() == 0
+        with pytest.raises(CapacityError):
+            enumerate_frequency_vectors(1, 1)
+
 
 class TestPrecedence:
     def test_two_point_symmetry(self):

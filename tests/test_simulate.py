@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 
 import numpy as np
@@ -84,6 +85,31 @@ class TestGenerators:
         x1, y1 = generate_scenario(spec, 5)
         x2, y2 = generate_scenario(null, 5)
         assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
+
+    # SHA-256 of x.tobytes() + y.tobytes(), and the stream's next random(),
+    # recorded from the generator with one helper per law.  At seed 2096
+    # every mixture picks both of its components among its n = 5 points.
+    @pytest.mark.parametrize("scenario, c, p, digest, next_u", [
+        (0, 0.0, 1, "b7a2a788b0fa850b0f542ca414c5198ce39982377e2c8a2abbb1d3d1fff00522", 0.18623378873484553),
+        (0, 0.0, 3, "500e9f531b7e728136e508ffca14d2076550c07e2bc409435f0725a18eeec862", 0.9016318474421834),
+        (1, 1.5, 1, "40c3b79a9851177264abefb08ea1157f85ad25a582f670bc32d1ab9a83297c99", 0.21674640509791954),
+        (1, 1.5, 3, "ae95e45ce55da20618f9ef1cd4915859ed297f6c64942d4f89fde4cc3c439b20", 0.035039699455787776),
+        (2, 1.5, 1, "21e562e4146d84f0371b65f193e35c73ba352064f61b573e489db699a82b5c6d", 0.9279578455645214),
+        (2, 1.5, 3, "3d974db1372b54a6d929f9671fe6bbdc0f0c38c3888f65ff2ee33856fad13a88", 0.19967843464966595),
+        (3, 2.0, 1, "04a470a975fb0ef4bcd65e0c7c6f77dfaff1eaf2243a42562a8fc86b93f6b163", 0.18623378873484553),
+        (3, 2.0, 3, "efda0579809a05ae539a9670536c47ecb5f09da2b57fa283f7f76e9c3de1f507", 0.9016318474421834),
+        (4, 2.0, 1, "e4236b45bf4d1ec816593879f3d1c671d477974bbc79163ea6758171d857e833", 0.2678046124996596),
+        (4, 2.0, 3, "8cb986d25183ea4b85b6f73faa2ed8ca767f8deeb25eb3d32424e3f51a971a0a", 0.32234434317071914),
+        (5, 0.5, 1, "3e9882bfd58173a7129f9ad2fb31e3e0e27201ffd5c283e00ca67cdef3496cba", 0.9244742122638056),
+        (5, 0.5, 3, "0aea57f7c299442198b86ce4b6d7c2f92f338c0e8f866b4bed76a763ab3d3acb", 0.7497330562806922),
+        (6, 0.5, 1, "8d447da1220f409514e6e8616be86d4495f3131d6ea6699006ed12904f3bc87a", 0.9279578455645214),
+        (6, 0.5, 3, "b0338184f23f4e83f216bb540ec9a6b801b36416c38a878a79e58d641d805eb4", 0.19967843464966595),
+    ])
+    def test_every_scenario_draw_is_pinned(self, scenario, c, p, digest, next_u):
+        rng = np.random.default_rng(2096)
+        x, y = generate_scenario(ScenarioSpec(scenario=scenario, c=c, p=p, m=7, n=5), rng)
+        assert hashlib.sha256(x.tobytes() + y.tobytes()).hexdigest() == digest
+        assert rng.random() == next_u
 
 
 class TestPowerStudy:

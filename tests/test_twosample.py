@@ -78,6 +78,10 @@ class TestScores:
         assert make_scores("siegel_tukey", 5, 5).scores.tolist() == [
             1, 4, 5, 8, 9, 10, 7, 6, 3, 2,
         ]
+        for size in range(2, 301):
+            assert make_scores("siegel_tukey", 1, size - 1).scores.tolist() == (
+                siegel_tukey_by_hand(size)
+            )
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
@@ -86,6 +90,37 @@ class TestScores:
     def test_custom_requires_explicit_scores(self):
         with pytest.raises(ValueError):
             make_scores(ScoreFamily.CUSTOM, 3, 3)
+
+
+def siegel_tukey_by_hand(size: int) -> list[float]:
+    """Oracle: hand out the ranks from alternating ends, one to the
+    bottom, then two to the top, two to the bottom, and so on."""
+    scores = [0.0] * size
+    lo, hi = 0, size - 1
+    rank = 1
+    scores[lo] = rank
+    rank += 1
+    lo += 1
+    from_top = True
+    while lo <= hi:
+        if from_top:
+            scores[hi] = rank
+            rank += 1
+            hi -= 1
+            if lo <= hi:
+                scores[hi] = rank
+                rank += 1
+                hi -= 1
+        else:
+            scores[lo] = rank
+            rank += 1
+            lo += 1
+            if lo <= hi:
+                scores[lo] = rank
+                rank += 1
+                lo += 1
+        from_top = not from_top
+    return scores
 
 
 def quadrature_score(size: int, i: int) -> float:
