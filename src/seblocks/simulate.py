@@ -486,7 +486,7 @@ def _standard_generator(name: str):
 
 
 # points per kernel call of the uniformity check: bounds the stacked
-# samples at about 4 MB for p = 8
+# samples at about 4 MB for p = 8 (4.7 MB of Cauchy draws)
 _UNIFORMITY_BATCH_POINTS = 1 << 16
 
 
@@ -517,7 +517,7 @@ def frequency_uniformity_check(
         raise nulldist.CapacityError(
             f"C({m + n}, {n}) = {n_possible} vectors cannot be tabulated"
         )
-    draw = _standard_generator(generator) if isinstance(generator, str) else generator
+    draw_pairs = _pair_drawer(generator, m, n, p)
     plan = _oriented_plan(canonical_plan(plan_label), p, n, False)
     vectors = _all_vectors(m, n)  # lexicographic; the report's keys
     rng = np.random.default_rng(seed)
@@ -525,10 +525,7 @@ def frequency_uniformity_check(
     remaining, tied_run = replicates, 0
     while remaining:
         size = min(remaining, max(1, _UNIFORMITY_BATCH_POINTS // (m + n)))
-        xs, ys = np.empty((size, m, p)), np.empty((size, n, p))
-        for i in range(size):
-            xs[i] = _draw_points(draw, m, p, rng)
-            ys[i] = _draw_points(draw, n, p, rng)
+        xs, ys = draw_pairs(size, rng)
         fitted = fit_partition(plan, ys)
         rows = block_frequencies(fitted, xs).counts[~fitted.tied]
         # runs of tied samples between untied ones, the first carried
@@ -546,6 +543,43 @@ def frequency_uniformity_check(
             counts[vec] = counts.get(vec, 0) + int(k)
         remaining -= rows.shape[0]
     return UniformityReport(m, n, replicates, counts, n_possible)
+
+
+def _pair_drawer(generator: str | Callable, m: int, n: int, p: int) -> Callable:
+    """``draw(size, rng) -> (xs, ys)``: the next ``size`` pairs of the
+    stream, stacked as (size, m, p) and (size, n, p).
+
+    A named law draws them with one ``standard_normal`` call whose row i
+    holds pair i's values in the order ``_standard_generator`` draws
+    them: per sample, its k·p coordinates, then, for the Cauchy law, its
+    k denominators.  A callable draws one sample at a time.
+    """
+    if isinstance(generator, str):
+        _standard_generator(generator)  # refuses a name it does not know
+        width = p + (generator.lower() == "cauchy")  # a Cauchy point adds its denominator
+
+        def draw(size, rng):
+            z = rng.standard_normal((size, (m + n) * width))
+            samples = []
+            for k, vals in ((m, z[:, : m * width]), (n, z[:, m * width :])):
+                pts = vals[:, : k * p].reshape(size, k, p)
+                if width > p:
+                    pts /= np.abs(vals[:, k * p :, None])
+                samples.append(pts)
+            return samples
+
+        return draw
+    if not callable(generator):
+        raise ValueError(f"generator must be 'normal', 'cauchy' or a callable, got {generator!r}")
+
+    def draw(size, rng):
+        xs, ys = np.empty((size, m, p)), np.empty((size, n, p))
+        for i in range(size):
+            xs[i] = _draw_points(generator, m, p, rng)
+            ys[i] = _draw_points(generator, n, p, rng)
+        return xs, ys
+
+    return draw
 
 
 def _draw_points(draw: Callable, k: int, p: int, rng) -> np.ndarray:

@@ -380,6 +380,23 @@ class TestBatchedUniformity:
         cached = {id(v) for v in simulate._all_vectors(3, 3)}
         assert all(id(vec) in cached for vec in report.counts)
 
+    @pytest.mark.parametrize("generator", ["normal", "Normal", "cauchy", "CAUCHY"])
+    @pytest.mark.parametrize("p, label", [(1, "univariate"), (2, "spiral"), (3, "spiral")])
+    def test_a_named_law_gives_the_one_pair_tally(self, monkeypatch, generator, p, label):
+        draw = simulate._standard_generator(generator)
+        for batch_points in (None, 60):  # 60: many rounds, as few as 7 pairs each
+            if batch_points:
+                monkeypatch.setattr(simulate, "_UNIFORMITY_BATCH_POINTS", batch_points)
+            for m, n in [(1, 1), (3, 3), (2, 5), (6, 2)]:
+                report = frequency_uniformity_check(m, n, p, label, 300, seed=17, generator=generator)
+                expected = _tally_one_pair_at_a_time(m, n, p, label, 300, 17, draw)
+                assert report.counts == expected, (batch_points, m, n)
+
+    @pytest.mark.parametrize("generator", [5, None, np.zeros((3, 2))])
+    def test_a_generator_neither_named_nor_callable_is_refused(self, generator):
+        with pytest.raises(ValueError, match="generator must be 'normal', 'cauchy' or a callable"):
+            frequency_uniformity_check(3, 3, 2, "spiral", 10, generator=generator)
+
     @pytest.mark.parametrize("m, n, replicates, all_seen", [
         (3, 3, 12, False), (4, 2, 5, False), (2, 2, 3000, True), (1, 4, 2000, True),
     ])
