@@ -22,6 +22,7 @@ import numpy as np
 from . import nulldist, simulate, twosample
 from .nulldist import CapacityError, EmpiricalNull, NormalNull, Pmf
 from .partition import (
+    PLAN_NAMES,
     Sample,
     TieError,
     block_frequencies,
@@ -121,42 +122,32 @@ def cmd_test(args) -> int:
             file=sys.stderr,
         )
 
-    test = twosample.canonical_test(args.test)
-
-    meta = {"m": m, "n": n, "p": x.p, "seed": args.seed}
-    ties = dict(on_ties=args.on_ties, seed=args.seed)
-    if test == "runs":
-        if x.p != 1:
-            raise CliError("the runs test needs single-column data")
-        try:
-            freqs = twosample._univariate_frequencies(tested, partitioner, **ties)
-        except TieError as exc:
-            raise CliError(f"tie-error: {exc}") from exc
-    else:
-        try:
-            plan = make_plan(args.plan, x.p, n)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-        try:
-            fitted = fit_partition(plan, partitioner, **ties)
-        except TieError as exc:
-            raise CliError(f"tie-error: {exc}") from exc
+    column = TestConfig(args.test, args.plan, args.j, args.alternative)
+    plan = make_plan(column.fitted_plan, x.p, n)
+    try:
+        fitted = fit_partition(plan, partitioner, on_ties=args.on_ties, seed=args.seed)
         freqs = block_frequencies(fitted, tested)
-        if freqs.boundary_ties == m:
-            raise CliError(
-                "tie-error: every tested point (row 1 onward) ties a partition "
-                "threshold; the samples share their values"
-            )
-        if freqs.boundary_ties:
-            print(
-                f"warning: {freqs.boundary_ties} tested point(s) tie a partition "
-                "threshold; counted by the half-open convention",
-                file=sys.stderr,
-            )
+        if freqs.boundary_ties and column.test == "runs":
+            raise TieError("cross-sample tied values; the runs count is undefined")
+    except TieError as exc:
+        raise CliError(f"tie-error: {exc}") from exc
+    if freqs.boundary_ties == m:
+        raise CliError(
+            "tie-error: every tested point (row 1 onward) ties a partition "
+            "threshold; the samples share their values"
+        )
+    if freqs.boundary_ties:
+        print(
+            f"warning: {freqs.boundary_ties} tested point(s) tie a partition "
+            "threshold; counted by the half-open convention",
+            file=sys.stderr,
+        )
+    meta = {"m": m, "n": n, "p": x.p, "seed": args.seed}
+    if column.test != "runs":
         meta["plan"] = plan.label.value
     result = twosample.block_test(
-        test, freqs, args.alternative, args.method,
-        j=args.j, scores=args.scores or None, n_draws=args.draws, seed=args.seed,
+        column.test, freqs, column.alternative, args.method,
+        j=column.j, scores=args.scores or None, n_draws=args.draws, seed=args.seed,
     )
 
     payload = result.to_json_dict()
@@ -249,12 +240,20 @@ def _shipped_config(name: str) -> str | None:
 _CONFIG_KEYS = ("m", "n", "p", "alpha", "replicates", "seed", "null_draws", "workers", "runs")
 _RUN_KEYS = ("scenario", "c", "tests")
 _TEST_KEYS = ("test", "plan", "j", "alternative")
+# the keys whose values must be JSON integers; a bool is not one
+_INTEGER_KEYS = ("m", "n", "p", "replicates", "seed", "null_draws", "workers", "scenario")
 
 
-def _refuse_unknown_keys(entry: dict, known: tuple, where: str):
-    for key in entry:
+def _check_keys(entry: dict, known: tuple, where: str):
+    """Refuse a key outside ``known``, a non-integer value of an integer
+    key, and a bool as ``alpha`` or ``c``."""
+    for key, value in entry.items():
         if key not in known:
             raise CliError(f"{where}: unknown key {key!r}; known: {' '.join(known)}")
+        if key in _INTEGER_KEYS and type(value) is not int:
+            raise CliError(f"{where}: {key!r} must be an integer, got {value!r}")
+        if key in ("alpha", "c") and isinstance(value, bool):
+            raise CliError(f"{where}: {key!r} must be a number, got {value!r}")
 
 
 def _load_power_config(path: str) -> dict:
@@ -278,16 +277,16 @@ def _load_power_config(path: str) -> dict:
     runs = cfg["runs"]
     if not isinstance(runs, list) or not runs or not all(isinstance(b, dict) for b in runs):
         raise CliError(f"{origin}: 'runs' must be a non-empty list of objects")
-    _refuse_unknown_keys(cfg, _CONFIG_KEYS, f"{origin}: top level")
+    _check_keys(cfg, _CONFIG_KEYS, f"{origin}: top level")
     for i, block in enumerate(runs):
-        _refuse_unknown_keys(block, _RUN_KEYS, f"{origin}: runs[{i}]")
+        _check_keys(block, _RUN_KEYS, f"{origin}: runs[{i}]")
         if isinstance(block.get("tests"), list):
             for k, t in enumerate(block["tests"]):
                 if isinstance(t, dict):
-                    _refuse_unknown_keys(t, _TEST_KEYS, f"{origin}: runs[{i}].tests[{k}]")
-    if int(cfg["replicates"]) < 1:
+                    _check_keys(t, _TEST_KEYS, f"{origin}: runs[{i}].tests[{k}]")
+    if cfg["replicates"] < 1:
         raise CliError(f"{origin}: replicates must be >= 1")
-    if int(cfg.get("workers", 1)) < 1:
+    if cfg.get("workers", 1) < 1:
         raise CliError(f"{origin}: workers must be >= 1")
     return cfg
 
@@ -307,63 +306,37 @@ _ALL_TESTS = [
 ]
 
 
+# the columns of a result row, in order: PowerEstimate attributes
+_ROW_KEYS = (
+    "scenario", "c", "test", "plan", "alpha", "replicates", "rejections",
+    "rejection_rate", "std_error", "seed", "tie_retries",
+)
+
+
 def _power_rows(cfg: dict, workers: int) -> list[dict]:
-    m = int(cfg.get("m", 200))
-    n = int(cfg.get("n", 200))
-    p = int(cfg.get("p", 3))
-    alpha = float(cfg.get("alpha", 0.05))
-    replicates = int(cfg["replicates"])
-    seed = int(cfg["seed"])
-    draws = int(cfg.get("null_draws", 200_000))
+    # sizes and null draws the config leaves out take the library's defaults
+    sizes = {key: cfg[key] for key in ("m", "n", "p") if key in cfg}
+    draws = {"n_null_draws": cfg["null_draws"]} if "null_draws" in cfg else {}
     rows = []
     for block in cfg["runs"]:
         try:
-            spec = ScenarioSpec(
-                scenario=int(block.get("scenario", 0)),
-                c=float(block.get("c", 0.0)),
-                p=p,
-                m=m,
-                n=n,
-            )
+            spec = ScenarioSpec(block.get("scenario", 0), float(block.get("c", 0.0)), **sizes)
             entries = block["tests"]
             if entries == "ALL":
                 entries = _ALL_TESTS
-            tests = [
-                TestConfig(
-                    test=t["test"],
-                    plan=t.get("plan", "spiral"),
-                    j=t.get("j"),
-                    alternative=t.get("alternative"),
-                )
-                for t in entries
-            ]
+            tests = [TestConfig(**entry) for entry in entries]
         except (KeyError, ValueError, TypeError) as exc:
             raise CliError(f"bad run entry {block!r}: {exc}") from exc
         estimates = simulate.run_power_study(
             spec,
             tests,
-            alpha,
-            replicates,
-            seed,
+            float(cfg.get("alpha", 0.05)),
+            cfg["replicates"],
+            cfg["seed"],
             workers=workers,
-            n_null_draws=draws,
+            **draws,
         )
-        for est in estimates:
-            rows.append(
-                {
-                    "scenario": est.scenario,
-                    "c": est.c,
-                    "test": est.test,
-                    "plan": est.plan,
-                    "alpha": est.alpha,
-                    "replicates": est.replicates,
-                    "rejections": est.rejections,
-                    "rejection_rate": est.rejection_rate,
-                    "std_error": est.std_error,
-                    "seed": est.seed,
-                    "tie_retries": est.tie_retries,
-                }
-            )
+        rows.extend({key: getattr(est, key) for key in _ROW_KEYS} for est in estimates)
     return rows
 
 
@@ -383,7 +356,9 @@ def _rows_to_csv(rows: list[dict]) -> str:
 
 def cmd_power(args) -> int:
     cfg = _load_power_config(args.config)
-    rows = _power_rows(cfg, int(cfg.get("workers", 1)) if args.workers is None else args.workers)
+    if args.out and not Path(args.out).parent.is_dir():
+        raise CliError(f"{args.out}: the output directory does not exist")
+    rows = _power_rows(cfg, cfg.get("workers", 1) if args.workers is None else args.workers)
     csv_text = _rows_to_csv(rows)
     json_text = json.dumps({"config": cfg, "results": rows}, indent=2) + "\n"
     if args.out:
@@ -395,8 +370,15 @@ def cmd_power(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ``CliError``: one line, exit 1."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="seblocks",
         description="Distribution-free two-sample tests via statistically equivalent blocks",
     )
@@ -406,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--x", required=True, help="comparison sample CSV (one row per observation)")
     t.add_argument("--y", required=True, help="reference sample CSV (partitions by default)")
     t.add_argument("--test", default="wilcoxon", help=f"one of {twosample.KNOWN_TESTS}")
-    t.add_argument("--plan", default="spiral", choices=["spiral", "stairstep", "univariate"])
+    t.add_argument("--plan", default="spiral", help=f"one of {PLAN_NAMES} or an alias")
     t.add_argument("--scores", default=None, help="score family override for rank tests")
     t.add_argument("--j", type=int, default=None, help="block count for precedence/maximal tests")
     t.add_argument("--alternative", default=None, choices=["lower", "upper", "two-sided"])
@@ -446,11 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (CliError, TieError, CapacityError, ValueError) as exc:
+    except (CliError, TieError, CapacityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

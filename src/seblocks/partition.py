@@ -299,27 +299,25 @@ def make_spiral_plan(
 
 
 def _univariate_builder(ascending: bool):
-    def build(p: int, n: int, **kwargs) -> PartitionPlan:
+    def build(p: int, n: int) -> PartitionPlan:
         if p != 1:
             raise ValueError("univariate plan requires 1-dimensional data")
-        return make_univariate_plan(n, ascending=ascending, **kwargs)
+        return make_univariate_plan(n, ascending=ascending)
 
     return build
 
 
 # every name make_plan builds, with its builder
 _PLAN_BUILDERS = {
-    "spiral": lambda p, n, **kw: make_spiral_plan(p, n, axes=figure_axes(p), **kw),
-    "spiral_cycle_all": lambda p, n, **kw: make_spiral_plan(p, n, **kw),
-    "spiral_paired": lambda p, n, **kw: make_spiral_plan(
-        p, n, paired=True, axes=figure_axes(p), **kw
+    "spiral": lambda p, n: make_spiral_plan(p, n, axes=figure_axes(p)),
+    "spiral_cycle_all": lambda p, n: make_spiral_plan(p, n),
+    "spiral_paired": lambda p, n: make_spiral_plan(p, n, paired=True, axes=figure_axes(p)),
+    "stairstep": lambda p, n: make_stairstep_plan(p, n, axes=figure_axes(p)),
+    "stairstep_max": lambda p, n: make_stairstep_plan(
+        p, n, direction=Direction.MAX, axes=figure_axes(p)
     ),
-    "stairstep": lambda p, n, **kw: make_stairstep_plan(p, n, axes=figure_axes(p), **kw),
-    "stairstep_max": lambda p, n, **kw: make_stairstep_plan(
-        p, n, direction=Direction.MAX, axes=figure_axes(p), **kw
-    ),
-    "stairstep_cycle_all": lambda p, n, **kw: make_stairstep_plan(p, n, **kw),
-    "stairstep_reversing": lambda p, n, **kw: make_stairstep_plan(p, n, boustrophedon=True, **kw),
+    "stairstep_cycle_all": lambda p, n: make_stairstep_plan(p, n),
+    "stairstep_reversing": lambda p, n: make_stairstep_plan(p, n, boustrophedon=True),
     "univariate": _univariate_builder(ascending=True),
     "univariate_desc": _univariate_builder(ascending=False),
 }
@@ -341,7 +339,7 @@ def canonical_plan(label: str | PlanLabel) -> str:
     return name
 
 
-def make_plan(label: str | PlanLabel, p: int, n: int, **kwargs) -> PartitionPlan:
+def make_plan(label: str | PlanLabel, p: int, n: int) -> PartitionPlan:
     """Build a named plan.
 
     The names 'spiral' and 'stairstep' are the constructions behind the
@@ -355,7 +353,7 @@ def make_plan(label: str | PlanLabel, p: int, n: int, **kwargs) -> PartitionPlan
     coordinate data).  ``canonical_plan`` resolves the aliases 'sp',
     'ss', 'stair-step' and 'univariate_asc' and ignores case.
     """
-    return _PLAN_BUILDERS[canonical_plan(label)](p, n, **kwargs)
+    return _PLAN_BUILDERS[canonical_plan(label)](p, n)
 
 
 def _check_pair_order(plan: PartitionPlan, thresholds: np.ndarray):

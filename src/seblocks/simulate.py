@@ -20,6 +20,7 @@ import numpy as np
 
 from . import nulldist, twosample
 from .partition import (
+    CutRule,
     Direction,
     PartitionPlan,
     TieError,
@@ -234,14 +235,16 @@ _MAX_TIED = 100
 
 @lru_cache(maxsize=64)
 def _oriented_plan(name: str, p: int, n: int, descending: bool) -> PartitionPlan:
-    """The plan ``name``; the spiral and stair-step peel from the maxima
-    when ``descending``, as the published construction treats up and
-    down symmetrically, exactly as it treats the coordinate labels."""
-    if descending and name == "spiral":
-        return make_plan(name, p, n, start=Direction.MAX)
-    if descending and name == "stairstep":
-        return make_plan("stairstep_max", p, n)
-    return make_plan(name, p, n)
+    """The plan ``name``; the spiral and stair-step are mirrored, every
+    cut's direction flipped, when ``descending``, as the published
+    construction treats up and down symmetrically, exactly as it treats
+    the coordinate labels."""
+    plan = make_plan(name, p, n)
+    if descending and name in ("spiral", "stairstep"):
+        flipped = {Direction.MIN: Direction.MAX, Direction.MAX: Direction.MIN}
+        cuts = tuple(CutRule(rule.component, flipped[rule.direction]) for rule in plan.cuts)
+        plan = PartitionPlan(p, n, cuts, plan.label)
+    return plan
 
 
 def _draw_replicate(spec: ScenarioSpec, base_seed: int, r: int, attempt: int, k_tests: int):
@@ -388,7 +391,8 @@ def run_power_study(
         bounds = np.linspace(0, n_replicates, n_chunks + 1, dtype=int).tolist()
         rejections = np.zeros(len(tests), dtype=np.int64)
         retries = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # under fork the pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
             for rej, ret in pool.map(_run_replicates, repeat(ctx), bounds[:-1], bounds[1:]):
                 rejections += rej
                 retries += ret

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from seblocks import cli, simulate
-from seblocks.partition import Sample
+from seblocks import cli, simulate, twosample
+from seblocks.partition import PLAN_NAMES, Sample, block_frequencies, fit_partition, make_plan
 
 Y_TOY = [
     [1.28, 0.87], [-0.79, -0.96], [0.70, 0.65],
@@ -136,6 +136,70 @@ class TestTestCommand:
         cli.write_sample_csv(str(path), sample)
         back = cli.read_sample_csv(str(path))
         assert np.array_equal(back.points, sample.points)
+
+    @pytest.mark.parametrize("label", [*PLAN_NAMES, "sp", "ss", "stair-step", "SPIRAL"])
+    def test_every_plan_label_gives_the_library_result(self, tmp_path, capsys, label):
+        # the univariate plans fit the first coordinate alone
+        cols = slice(0, 1) if label.startswith("univariate") else slice(None)
+        x_pts, y_pts = np.array(X_ALT)[:, cols], np.array(Y_TOY)[:, cols]
+        x = write_csv(tmp_path / "x.csv", x_pts)
+        y = write_csv(tmp_path / "y.csv", y_pts)
+        assert cli.main(["test", "--x", x, "--y", y, "--plan", label]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        plan = make_plan(label, y_pts.shape[1], len(y_pts))
+        freqs = block_frequencies(fit_partition(plan, Sample(y_pts)), Sample(x_pts))
+        expected = twosample.block_test("wilcoxon", freqs, method="auto").to_json_dict()
+        for key in ("statistic", "p_lower", "p_upper", "p_two_sided", "p_value"):
+            assert payload[key] == expected[key], key
+        assert payload["plan"] == plan.label.value
+
+    def test_runs_refuses_an_unknown_plan(self, tmp_path, capsys):
+        x = write_csv(tmp_path / "x.csv", [[-4.62], [-1.56], [0.27]])
+        y = write_csv(tmp_path / "y.csv", [[-0.36], [0.75]])
+        argv = ["test", "--x", x, "--y", y, "--test", "runs", "--plan", "no_such_plan"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "error: unknown plan label 'no_such_plan'\n"
+
+    def test_a_runs_report_has_no_plan_key(self, tmp_path, capsys):
+        x = write_csv(tmp_path / "x.csv", [[-4.62], [-1.56], [-0.21], [0.13], [0.27]])
+        y = write_csv(tmp_path / "y.csv", [[-0.36], [0.00], [0.75], [3.32]])
+        assert cli.main(["test", "--x", x, "--y", y, "--test", "runs", "--plan", "ss"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["statistic"] == 6 and "plan" not in payload
+
+    def test_runs_refuses_a_value_both_samples_hold(self, tmp_path, capsys):
+        x = write_csv(tmp_path / "x.csv", [[1.0], [2.5]])
+        y = write_csv(tmp_path / "y.csv", [[1.0], [3.0]])
+        assert cli.main(["test", "--x", x, "--y", y, "--test", "runs"]) == 1
+        assert capsys.readouterr().err == (
+            "error: tie-error: cross-sample tied values; the runs count is undefined\n"
+        )
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["test", "--x", "x.csv", "--y", "y.csv", "--method", "bogus"],
+         "seblocks test: argument --method: invalid choice: 'bogus'"),
+        (["test", "--y", "y.csv"], "seblocks test: the following arguments are required: --x"),
+        ([], "seblocks: the following arguments are required: command"),
+    ])
+    def test_a_usage_error_is_one_line_and_exit_one(self, capsys, argv, message):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["test", "--help"])
+        assert exc.value.code == 0
+        assert "--plan" in capsys.readouterr().out
+
+    def test_dist_to_a_missing_directory_is_one_line(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        argv = ["dist", "--statistic", "runs", "--m", "3", "--n", "2", "--out", str(out)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
 
 
 class TestDistCommand:
@@ -298,6 +362,26 @@ class TestPowerCommand:
     @pytest.mark.parametrize("text, message", [
         ("5", "the top level must be a JSON object"),
         ('{"replicates": 2, "seed": 1, "runs": [5]}', "'runs' must be a non-empty list of objects"),
+        ('{"replicates": 2.9, "seed": 1, "runs": [{"tests": "ALL"}]}',
+         "top level: 'replicates' must be an integer, got 2.9"),
+        ('{"m": 5.7, "replicates": 2, "seed": 1, "runs": [{"tests": "ALL"}]}',
+         "top level: 'm' must be an integer, got 5.7"),
+        ('{"n": true, "replicates": 2, "seed": 1, "runs": [{"tests": "ALL"}]}',
+         "top level: 'n' must be an integer, got True"),
+        ('{"p": "3", "replicates": 2, "seed": 1, "runs": [{"tests": "ALL"}]}',
+         "top level: 'p' must be an integer, got '3'"),
+        ('{"replicates": 2, "seed": 1.0, "runs": [{"tests": "ALL"}]}',
+         "top level: 'seed' must be an integer, got 1.0"),
+        ('{"replicates": 2, "seed": 1, "null_draws": 2e3, "runs": [{"tests": "ALL"}]}',
+         "top level: 'null_draws' must be an integer, got 2000.0"),
+        ('{"replicates": 2, "seed": 1, "workers": false, "runs": [{"tests": "ALL"}]}',
+         "top level: 'workers' must be an integer, got False"),
+        ('{"replicates": 2, "seed": 1, "runs": [{"scenario": 3.0, "c": 2.0, "tests": "ALL"}]}',
+         "runs[0]: 'scenario' must be an integer, got 3.0"),
+        ('{"alpha": true, "replicates": 2, "seed": 1, "runs": [{"tests": "ALL"}]}',
+         "top level: 'alpha' must be a number, got True"),
+        ('{"replicates": 2, "seed": 1, "runs": [{"tests": "ALL"}, {"c": false, "tests": "ALL"}]}',
+         "runs[1]: 'c' must be a number, got False"),
     ])
     def test_malformed_config_is_one_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.json"
@@ -394,3 +478,17 @@ class TestPowerCommand:
         assert cli.main(["power", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         assert hashlib.md5((tmp_path / "out.csv").read_bytes()).hexdigest() == csv_md5
         assert hashlib.md5((tmp_path / "out.json").read_bytes()).hexdigest() == json_md5
+
+    def test_a_missing_out_directory_is_refused_before_the_study(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_study(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(simulate, "run_power_study", no_study)
+        out = tmp_path / "missing" / "out"
+        path = self.make_config(tmp_path)
+        assert cli.main(["power", "--config", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out}: the output directory does not exist\n"
+        )

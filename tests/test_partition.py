@@ -157,6 +157,10 @@ class TestPlans:
         assert canonical_plan(label) == name
         assert make_plan(label, p, 9) == make_plan(name, p, 9)
 
+    def test_a_plan_name_takes_no_builder_keywords(self):
+        with pytest.raises(TypeError):
+            make_plan("spiral", 2, 5, start=Direction.MAX)
+
     def test_pair_table_of_the_illustrated_spiral(self):
         # cuts: 1 min, 2 min, 1 max, 2 max, 1 min, 2 min, 1 max; the
         # sorted pairs are (0, max), (0, min), (1, max), (1, min)

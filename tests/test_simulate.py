@@ -7,7 +7,16 @@ import pytest
 
 from seblocks import simulate
 from seblocks.nulldist import enumerate_frequency_vectors
-from seblocks.partition import Sample, TieError, block_frequencies, fit_partition, make_plan
+from seblocks.partition import (
+    Direction,
+    Sample,
+    TieError,
+    block_frequencies,
+    figure_axes,
+    fit_partition,
+    make_plan,
+    make_spiral_plan,
+)
 from seblocks.simulate import (
     NULL_CASE,
     ScenarioSpec,
@@ -274,6 +283,45 @@ class TestPowerStudy:
         finally:
             sim.generate_scenario = orig
         assert [e.rejections for e in base] == [e.rejections for e in rescaled]
+
+    def test_the_pool_forks_no_more_workers_than_chunks(self, monkeypatch):
+        # a stand-in executor that records its size and maps inline, so no
+        # process starts
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        spec = ScenarioSpec(scenario=3, c=2.0, p=2, m=12, n=12)
+        tests = [TestConfig("wilcoxon", "spiral"), TestConfig("empty_block", "stairstep")]
+        serial = run_power_study(spec, tests, 0.05, 3, 5, n_null_draws=500)
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
+        pooled = run_power_study(spec, tests, 0.05, 3, 5, workers=64, n_null_draws=500)
+        assert sizes == [3]
+        assert pooled == serial
+        run_power_study(spec, tests, 0.05, 40, 5, workers=2, n_null_draws=500)
+        assert sizes == [3, 2]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 40])
+def test_a_descending_plan_is_the_mirrored_plan(p, n):
+    spiral = simulate._oriented_plan("spiral", p, n, True)
+    assert spiral == make_spiral_plan(p, n, axes=figure_axes(p), start=Direction.MAX)
+    assert simulate._oriented_plan("stairstep", p, n, True) == make_plan("stairstep_max", p, n)
+    for name in ("spiral", "stairstep", "spiral_paired", "univariate"):
+        if p == 1 or not name.startswith("univariate"):
+            assert simulate._oriented_plan(name, p, n, False) == make_plan(name, p, n)
 
 
 class TestDiagnostics:
