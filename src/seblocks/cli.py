@@ -246,12 +246,15 @@ _INTEGER_KEYS = ("m", "n", "p", "replicates", "seed", "null_draws", "workers", "
 
 def _check_keys(entry: dict, known: tuple, where: str):
     """Refuse a key outside ``known``, a non-integer value of an integer
-    key, and a bool as ``alpha`` or ``c``."""
+    key, a ``j`` that is neither an integer nor null, and a bool as
+    ``alpha`` or ``c``."""
     for key, value in entry.items():
         if key not in known:
             raise CliError(f"{where}: unknown key {key!r}; known: {' '.join(known)}")
         if key in _INTEGER_KEYS and type(value) is not int:
             raise CliError(f"{where}: {key!r} must be an integer, got {value!r}")
+        if key == "j" and value is not None and type(value) is not int:
+            raise CliError(f"{where}: 'j' must be an integer or null, got {value!r}")
         if key in ("alpha", "c") and isinstance(value, bool):
             raise CliError(f"{where}: {key!r} must be a number, got {value!r}")
 

@@ -243,8 +243,9 @@ class NormalNull:
 
 # matrix cells per chunk of arrangements: 512 KB of keys, small enough
 # to stay in cache (on a 2-core x86 machine, chunks of 4M cells made a
-# Monte Carlo null at m = n = 50 about 30% slower); rows are drawn and
-# sorted one by one, so the chunk size changes no value
+# Monte Carlo null at m = n = 50 about 30% slower); each row's keys
+# are drawn in stream order and its positions chosen from that row
+# alone, so the chunk size changes no value
 _CHUNK_CELLS = 1 << 16
 
 
@@ -285,18 +286,39 @@ def _arrangement_chunks(m: int, n: int):
 
 
 def _sample_arrangements(m: int, n: int, n_draws: int, rng: np.random.Generator):
-    """Seeded uniformly random arrangements as (rows, n+1) count
-    matrices, ``n_draws`` rows in all: the positions of the n smallest
-    of m + n uniform keys are a uniform n-subset, the reference
-    positions of a random arrangement."""
-    chunk = max(1, min(n_draws, _CHUNK_CELLS // (m + n)))
-    for done in range(0, n_draws, chunk):
-        keys = rng.random((min(chunk, n_draws - done), m + n))
-        bars = np.sort(np.argpartition(keys, n - 1, axis=1)[:, :n], axis=1)
-        # no chunk is held while the next one is drawn: that bounds the memory
-        del keys
-        yield _counts_from_bars(bars, m + n)
-        del bars
+    """Seeded uniformly random arrangements as (rows, n) matrices of
+    ascending reference positions, ``n_draws`` rows in all: the
+    positions of the n smallest of m + n uniform keys are a uniform
+    n-subset of the pooled positions.
+
+    Each key is a multiple of 2^-53, so key * 2^63 is an integer below
+    2^63 whose 10 low bits are 0.  With its low s bits replaced by the
+    position (s bits hold every position) it becomes one distinct int64
+    per cell, ordered by (key, position), and one partition of those
+    picks the n smallest.  So equal keys at the cut (probability below
+    1e-11 per draw at m + n = 400) go to the lower position; above 1024
+    positions (s > 10) the key loses its s - 10 low bits first."""
+    size = m + n
+    shift = max(1, (size - 1).bit_length())
+    position_bits = (1 << shift) - 1
+    positions = np.arange(size, dtype=np.int64)
+    rows = max(1, min(n_draws, _CHUNK_CELLS // size))
+    # the two chunk buffers are reused, so memory stays bounded
+    keys = np.empty((rows, size))
+    packed = np.empty((rows, size), dtype=np.int64)
+    for done in range(0, n_draws, rows):
+        drawn = rng.random(out=keys[: min(rows, n_draws - done)])
+        cells = packed[: drawn.shape[0]]
+        # an integer below 2^63, so the cast is exact (and fast: numpy's
+        # casts of floats at or above 2^63 to uint64 take a slow path)
+        np.multiply(drawn, 2.0**63, out=cells, casting="unsafe")
+        if shift > 10:
+            cells &= ~position_bits
+        cells |= positions
+        cells.partition(n - 1, axis=1)
+        bars = cells[:, :n] & position_bits
+        bars.sort(axis=1)
+        yield bars
 
 
 def _tally_arrangements(statistic, m: int, n: int) -> dict:
@@ -477,7 +499,8 @@ def _tallied_pmf(tally: dict, m: int, n: int, statistic: str, atom=lambda v: v) 
 
 
 def _sampled_null(statistic, m: int, n: int, n_draws: int, seed, name: str) -> EmpiricalNull:
-    """Empirical null of ``statistic`` over ``n_draws`` seeded random
+    """Empirical null of ``statistic``, a map from an (R, n) matrix of
+    reference positions to R values, over ``n_draws`` seeded random
     arrangements."""
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
@@ -493,12 +516,12 @@ def _is_ranks(scores: np.ndarray) -> bool:
     return np.array_equal(scores, np.arange(1, scores.size + 1, dtype=float))
 
 
-def _rank_sum_rows(counts: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Linear rank statistic of each frequency vector: the total score
-    minus the scores at its reference positions.  Observed statistics
-    and both nulls sum in this one order, so a float statistic equals
-    its null atom bit for bit."""
-    return scores.sum() - scores[_reference_positions(counts)].sum(axis=-1)
+def _rank_sum_at(bars: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Linear rank statistic of each arrangement given by its reference
+    positions (last axis): the total score minus the scores there.
+    Observed statistics and both nulls sum in this one order, so a float
+    statistic equals its null atom bit for bit."""
+    return scores.sum() - scores[bars].sum(axis=-1)
 
 
 def linear_rank_null(
@@ -531,11 +554,11 @@ def linear_rank_null(
     if method == "exact":
         if _is_ranks(a):
             return _wilcoxon_rank_sum_pmf(m, n)
-        tally = _tally_arrangements(lambda c: _rank_sum_rows(c, a), m, n)
+        tally = _tally_arrangements(lambda c: _rank_sum_at(_reference_positions(c), a), m, n)
         return _tallied_pmf(tally, m, n, "linear_rank")
 
     if method == "monte_carlo":
-        return _sampled_null(lambda c: _rank_sum_rows(c, a), m, n, n_draws, seed, "linear_rank")
+        return _sampled_null(lambda b: _rank_sum_at(b, a), m, n, n_draws, seed, "linear_rank")
 
     if method == "normal":
         total = float(a.sum())
@@ -585,7 +608,8 @@ def dixon_c2_null(
 
     if method == "monte_carlo":
         return _sampled_null(
-            lambda c: _dixon_rows(c, m, n) / scale, m, n, n_draws, seed, "dixon_c2"
+            lambda b: _dixon_rows(_counts_from_bars(b, m + n), m, n) / scale,
+            m, n, n_draws, seed, "dixon_c2",
         )
 
     raise ValueError(f"method must be exact or monte_carlo, got {method!r}")

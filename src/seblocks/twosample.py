@@ -129,11 +129,20 @@ def expected_normal_order_scores(size: int) -> tuple[float, ...]:
     log_sf = log_ndtr(-x)
     log_pdf = -0.5 * x * x - 0.5 * math.log(2 * math.pi)
     half = np.empty(size // 2)
+    # one block and one term buffer serve every block of rows, so the
+    # grid's temporaries do not grow the heap
+    block = np.empty((min(_TH_BLOCK_ROWS, half.size), x.size))
+    term = np.empty_like(block)
     for start in range(0, half.size, _TH_BLOCK_ROWS):
         i = np.arange(start + 1, min(start + _TH_BLOCK_ROWS, half.size) + 1, dtype=float)[:, None]
         c = gammaln(size + 1) - gammaln(i) - gammaln(size - i + 1)
-        log_density = c + (i - 1) * log_cdf + (size - i) * log_sf + log_pdf
-        half[start : start + i.shape[0]] = np.exp(log_density) @ weighted_x
+        # c + (i-1) log_cdf + (size-i) log_sf + log_pdf, added in that order
+        density, extra = block[: i.shape[0]], term[: i.shape[0]]
+        np.multiply(i - 1, log_cdf, out=density)
+        np.add(c, density, out=density)
+        density += np.multiply(size - i, log_sf, out=extra)
+        density += log_pdf
+        half[start : start + i.shape[0]] = np.exp(density, out=density) @ weighted_x
     # antisymmetry pins the upper half and zeroes the middle score
     return tuple(np.concatenate([half, np.zeros(size % 2), -half[::-1]]).tolist())
 
@@ -457,7 +466,7 @@ STATISTICS = {
         ),
         BlockStatistic(
             "linear_rank",
-            lambda c, m, n, sv: nulldist._rank_sum_rows(c, sv.scores),
+            lambda c, m, n, sv: nulldist._rank_sum_at(nulldist._reference_positions(c), sv.scores),
             lambda m, n, sv, method, **kw: nulldist.linear_rank_null(
                 m, n, sv.scores, method, **kw
             ),

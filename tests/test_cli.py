@@ -422,6 +422,22 @@ class TestPowerCommand:
             "known: test plan j alternative\n"
         )
 
+    @pytest.mark.parametrize("j", [2.5, True, "2"])
+    def test_a_j_that_is_not_an_integer_is_refused(self, tmp_path, capsys, j):
+        tests = [{"test": "wilcoxon"}, {"test": "precedence", "j": j}]
+        path = self.make_config(tmp_path, runs=[{"scenario": 0, "tests": tests}])
+        assert cli.main(["power", "--config", path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: runs[0].tests[1]: 'j' must be an integer or null, got {j!r}\n"
+        )
+
+    def test_a_null_j_takes_the_default(self, tmp_path):
+        tests = [{"test": "precedence", "j": None}, {"test": "precedence"}]
+        path = self.make_config(tmp_path, replicates=5, runs=[{"scenario": 0, "tests": tests}])
+        assert cli.main(["power", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        first, second = json.loads((tmp_path / "out.json").read_text())["results"]
+        assert first == second
+
     @pytest.mark.parametrize("workers", ["-3", "0"])
     def test_a_worker_flag_below_one_is_refused(self, tmp_path, capsys, workers):
         path = self.make_config(tmp_path, workers=2)

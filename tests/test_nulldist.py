@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from seblocks import nulldist
 from seblocks.nulldist import (
     CapacityError,
     EmpiricalNull,
@@ -331,6 +333,147 @@ class TestDixon:
             mc_tail = mc.p_upper(float(cut.numerator / cut.denominator))
             se = math.sqrt(exact_tail * (1 - exact_tail) / 100_000)
             assert abs(mc_tail - exact_tail) < 3 * se
+
+
+MC_FAMILIES = (
+    "wilcoxon", "van_der_waerden", "terry_hoeffding", "mood", "klotz", "siegel_tukey", "dixon_c2",
+)
+# the first 16 hex digits of the SHA-256 of each Monte Carlo null's sorted
+# values (3,000 draws), recorded with the argpartition sampler that preceded packed keys;
+# per (m, n): the digests for seed 0, then for seed (1, 714025, 3, m, n), in
+# the order of MC_FAMILIES
+MC_PINS = {
+    (1, 1): (
+        (
+            "c03896a20b3fdb0a", "e95543fade224e48", "a867c1995443b6db", "cc81d7d75a282dbf",
+            "c2e451620b96dc93", "c03896a20b3fdb0a", "1ad7d6d3dc99e97c",
+        ),
+        (
+            "0b576256b0742356", "60118dd94b923777", "20375ef14cf71c1c", "cc81d7d75a282dbf",
+            "42fffb197b28d39d", "0b576256b0742356", "1ad7d6d3dc99e97c",
+        ),
+    ),
+    (1, 5): (
+        (
+            "4f8dbb93587c2a75", "18d5c95caef3e3f8", "22f1bdb6aa93bc4d", "a3a34ce75b2df3ff",
+            "5d3d19fdaa539ea5", "5abb24232f1c3ab0", "31882a907a7c969b",
+        ),
+        (
+            "084650be1b230564", "1d2b5646dbe3c95b", "7139fd39bf6de6cc", "b73a6bd64e56bbbc",
+            "f482c9125d1c087f", "f6f2e7ee80f87eff", "31882a907a7c969b",
+        ),
+    ),
+    (5, 1): (
+        (
+            "1b2c27c956797493", "826e95375490e1c1", "8c58c3486c79c062", "9561455cce5aac95",
+            "ffa6403d079dfdc7", "c69d7f0212117e83", "8c8b2f2c245f4037",
+        ),
+        (
+            "1ff0822a2246a0d2", "18bb3faa0fb1ab01", "18c8bf2d3beb09d4", "e8e3b6006044763a",
+            "ada33c29e15917b4", "691ec27f0adbf0f7", "e9a8f202661de5f7",
+        ),
+    ),
+    (9, 7): (
+        (
+            "cf7558eefbe6c639", "c8c216c3d5d58417", "b2a9b1b9fb498710", "1d6381ca0153370d",
+            "b420eb331c844c9a", "2e99f8ad1ccb634c", "daa489aa38f73611",
+        ),
+        (
+            "dc9457687fc47cc5", "2e4e29a2aef5b956", "04fd0c1538dc5460", "f9a7b1646d5a81e0",
+            "f950291dda6d0a74", "e1ba0d9993a27efc", "581678fb42b16972",
+        ),
+    ),
+    (30, 170): (
+        (
+            "5cdd3de6a3272435", "3f71f055484f25d1", "2d25f5721ef84d38", "8aaa3a22697c1554",
+            "a6e9c480f5a56033", "e18569096c2dadfc", "ac2ca66c68ceff65",
+        ),
+        (
+            "6a759f46d00dcdd5", "eb9fae821a69d97a", "1cd17f7d471ea576", "7c2074462cb1f625",
+            "7d93136e9d487e35", "c0f223d399af7b73", "8a4ae92a43a04b5c",
+        ),
+    ),
+    (100, 100): (
+        (
+            "0f088ab676bfb9d2", "18a0eae2e765d3f6", "126546f2ac801f1f", "cf723eb95ccdc4ea",
+            "a65331b2f27fa71f", "73712cdb4b69b55a", "d77840ad53aedde2",
+        ),
+        (
+            "72dbec95772d970f", "8bd451281dd471e7", "ffe325a8509c28e6", "bc5df77b2457661e",
+            "f0721c6d681cc7a5", "f31d5986bf7d60e9", "f8e0a703fe2614aa",
+        ),
+    ),
+}
+
+
+class _KeyRows:
+    """A stand-in generator whose ``random(out=...)`` fills ``out`` with
+    the next rows of ``keys``."""
+
+    def __init__(self, keys):
+        self.keys, self.done = keys, 0
+
+    def random(self, out):
+        out[...] = self.keys[self.done : self.done + len(out)]
+        self.done += len(out)
+        return out
+
+
+def _sampled_positions(m, n, keys):
+    return np.concatenate(list(nulldist._sample_arrangements(m, n, len(keys), _KeyRows(keys))))
+
+
+def _n_smallest(keys, n):
+    """Ascending positions of the n smallest keys of each row, equal
+    keys taken in position order."""
+    return np.sort(np.argsort(keys, axis=1, kind="stable")[:, :n], axis=1)
+
+
+class TestArrangementSampler:
+    @pytest.mark.parametrize("m, n", list(MC_PINS))
+    @pytest.mark.parametrize("seed_kind", [0, 1])
+    def test_every_monte_carlo_null_is_pinned(self, m, n, seed_kind):
+        seed = 0 if seed_kind == 0 else (1, 714025, 3, m, n)
+        digests = []
+        for family in MC_FAMILIES:
+            if family == "dixon_c2":
+                null = dixon_c2_null(m, n, "monte_carlo", n_draws=3000, seed=seed)
+            else:
+                scores = make_scores(family, m, n).scores
+                null = linear_rank_null(m, n, scores, "monte_carlo", n_draws=3000, seed=seed)
+            digests.append(hashlib.sha256(null.values.tobytes()).hexdigest()[:16])
+        assert tuple(digests) == MC_PINS[m, n][seed_kind]
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 6), (6, 1), (9, 7), (150, 250)])
+    def test_packed_selection_is_the_n_smallest_keys(self, m, n):
+        rng = np.random.default_rng(m * 1000 + n)
+        # drawn keys, then keys on a coarse grid (many ties at the cut);
+        # every key is a multiple of 2^-53, as the generator's are
+        cases = [rng.random((700, m + n)), rng.integers(0, 4, (700, m + n)) / 4]
+        for keys in cases:
+            bars = _sampled_positions(m, n, keys)
+            assert bars.dtype == np.int64 and bars.shape == (700, n)
+            assert np.array_equal(bars, _n_smallest(keys, n))
+
+    def test_above_1024_positions_the_key_loses_its_low_bits(self):
+        m, n = 1500, 700
+        rng = np.random.default_rng(5)
+        # s = 12 position bits, so 2 low key bits go: keys that differ only
+        # there tie, and the lower position goes first
+        whole = rng.integers(0, 2**51, (40, m + n))
+        whole[:, ::2] = whole[:, 1::2]
+        keys = (whole * 4 + rng.integers(0, 4, whole.shape)) / 2.0**53
+        bars = _sampled_positions(m, n, keys)
+        assert np.array_equal(bars, _n_smallest(whole, n))
+
+    def test_the_generator_stream_is_read_in_draw_order(self):
+        # 1,310 draws at m + n = 100 span three chunks of 655 rows
+        m, n, draws = 60, 40, 1310
+        bars = np.concatenate(list(
+            nulldist._sample_arrangements(m, n, draws, np.random.default_rng(8))
+        ))
+        keys = np.random.default_rng(8).random((draws, m + n))
+        assert np.array_equal(bars, _n_smallest(keys, n))
 
 
 class TestPmfContainer:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -182,6 +183,19 @@ class TestTerryHoeffdingGrid:
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError):
             expected_normal_order_scores(0)
+
+    def test_scores_are_pinned(self):
+        # the first 16 hex digits of the SHA-256 of the float64 bytes,
+        # recorded when each block's log density was a fresh array
+        pins = {
+            1: "af5570f5a1810b7a", 2: "434a6a87496d1ed5", 3: "7b97c4f0ba39b984",
+            7: "497b3b247def9b64", 64: "9f5779eef143a270", 65: "4514a3c6fe26d91e",
+            100: "c111f8223d76f252", 129: "6feb3709d60c67c2", 200: "85f550804e3ca4ce",
+            401: "9d75b531bc68d396", 1000: "26c059512bdaba76", 5000: "9c376c41a9c0ab94",
+        }
+        for size, digest in pins.items():
+            raw = np.array(expected_normal_order_scores(size)).tobytes()
+            assert hashlib.sha256(raw).hexdigest()[:16] == digest, size
 
 
 class TestNormalFormsWithoutScipyStats:
