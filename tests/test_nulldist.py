@@ -467,8 +467,9 @@ class TestArrangementSampler:
         assert np.array_equal(bars, _n_smallest(whole, n))
 
     def test_the_generator_stream_is_read_in_draw_order(self):
-        # 1,310 draws at m + n = 100 span three chunks of 655 rows
-        m, n, draws = 60, 40, 1310
+        # 1,400 draws at m + n = 100 fill two chunks of 655 rows and 90
+        # rows of a third
+        m, n, draws = 60, 40, 1400
         bars = np.concatenate(list(
             nulldist._sample_arrangements(m, n, draws, np.random.default_rng(8))
         ))

@@ -1,15 +1,15 @@
 """Cold latency of ``seblocks test``: each call in a fresh process.
 
-    python3 tools/cold_cli.py [--checkout DIR] [--size 200] [--p 3] [--calls 5]
-        [--test wilcoxon --test terry_hoeffding ...] [extra test options after --]
+    python3 tools/cold_cli.py [--checkout DIR]
 
-Writes a comparison and a reference sample of ``--size`` standard normal
-rows with ``--p`` columns (seed 0) to a temporary directory.  Then runs
-``python -m seblocks.cli test`` on them ``--calls`` times per test, with
-the checkout's ``src`` first on ``PYTHONPATH``; each round makes one call
-per test, in the order given.  Prints one line per test: the median wall
-time from process start to exit, with the fastest and slowest call.
-A call that exits nonzero stops the script with its error output.
+Writes a comparison and a reference sample of ``SIZE`` standard normal
+rows with ``P`` columns (seed 0) to a temporary directory.  Then runs
+``python -m seblocks.cli test`` on them ``CALLS`` times per test in
+``TESTS``, with the checkout's ``src`` first on ``PYTHONPATH``; each
+round makes one call per test, in that order.  Prints one line per
+test: the median wall time from process start to exit, with the
+fastest and slowest call.  A call that exits nonzero stops the script
+with its error output.
 """
 
 from __future__ import annotations
@@ -26,14 +26,18 @@ from pathlib import Path
 import numpy as np
 
 HERE = Path(__file__).resolve().parents[1]
+SIZE = 200
+P = 3
+CALLS = 5
+TESTS = ("wilcoxon", "terry_hoeffding")
 
 
-def write_samples(folder: Path, size: int, p: int) -> tuple[str, str]:
+def write_samples(folder: Path) -> tuple[str, str]:
     rng = np.random.default_rng(0)
     paths = []
     for name in ("x", "y"):
         path = folder / f"{name}.csv"
-        np.savetxt(path, rng.standard_normal((size, p)), delimiter=",", fmt="%.17g")
+        np.savetxt(path, rng.standard_normal((SIZE, P)), delimiter=",", fmt="%.17g")
         paths.append(str(path))
     return paths[0], paths[1]
 
@@ -47,38 +51,25 @@ def time_call(argv: list, env: dict) -> float:
     return wall
 
 
-def parse_args(argv=None):
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", type=Path, default=HERE, help="repository to time")
-    parser.add_argument("--size", type=int, default=200, help="rows of each sample (m = n)")
-    parser.add_argument("--p", type=int, default=3, help="columns of each sample")
-    parser.add_argument("--calls", type=int, default=5, help="fresh processes per test")
-    parser.add_argument("--test", action="append", help="test to time (repeatable)")
-    parser.add_argument("extra", nargs="*", help="options passed on to every call")
-    args = parser.parse_args(argv)
-    if args.size < 1 or args.p < 1 or args.calls < 1:
-        parser.error("--size, --p and --calls must be >= 1")
-    if not (args.checkout / "src" / "seblocks" / "cli.py").is_file():
-        parser.error(f"{args.checkout}: no src/seblocks/cli.py")
-    args.test = args.test or ["wilcoxon", "terry_hoeffding"]
-    return args
-
-
-def main(argv=None) -> int:
-    args = parse_args(argv)
-    path = [str((args.checkout / "src").resolve()), os.environ.get("PYTHONPATH")]
+    checkout = parser.parse_args(argv).checkout
+    if not (checkout / "src" / "seblocks" / "cli.py").is_file():
+        parser.error(f"{checkout}: no src/seblocks/cli.py")
+    path = [str((checkout / "src").resolve()), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    walls = {test: [] for test in args.test}
+    walls = {test: [] for test in TESTS}
     with tempfile.TemporaryDirectory() as folder:
-        x, y = write_samples(Path(folder), args.size, args.p)
-        for _ in range(args.calls):
-            for test in args.test:
+        x, y = write_samples(Path(folder))
+        for _ in range(CALLS):
+            for test in TESTS:
                 argv = [sys.executable, "-m", "seblocks.cli", "test", "--x", x, "--y", y,
-                        "--test", test, *args.extra]
+                        "--test", test]
                 walls[test].append(time_call(argv, env))
     for test, times in walls.items():
-        print(f"{test} m=n={args.size} p={args.p}: median {statistics.median(times):.3f} s "
-              f"over {args.calls} calls [{min(times):.3f}, {max(times):.3f}]")
+        print(f"{test} m=n={SIZE} p={P}: median {statistics.median(times):.3f} s "
+              f"over {CALLS} calls [{min(times):.3f}, {max(times):.3f}]")
     return 0
 
 
