@@ -78,13 +78,12 @@ def write_sample_csv(path: str, sample: Sample):
 
 
 def _null_summary(null) -> dict:
-    if isinstance(null, Pmf):
-        return {"null": "exact", "null_atoms": len(null.support)}
+    # a Monte Carlo law is a Pmf too, so it is tested first
     if isinstance(null, EmpiricalNull):
         return {"null": "monte_carlo", "null_draws": null.n_draws}
-    if isinstance(null, NormalNull):
-        return {"null": "normal", "null_mean": null.mean, "null_variance": null.variance}
-    return {"null": type(null).__name__}
+    if isinstance(null, Pmf):
+        return {"null": "exact", "null_atoms": len(null.support)}
+    return {"null": "normal", "null_mean": null.mean, "null_variance": null.variance}
 
 
 def _emit_result(payload: dict, fmt: str, out=None):
@@ -144,7 +143,7 @@ def cmd_test(args) -> int:
         )
     meta = {"m": m, "n": n, "p": x.p, "seed": args.seed}
     if column.test != "runs":
-        meta["plan"] = plan.label.value
+        meta["plan"] = column.fitted_plan
     result = twosample.block_test(
         column.test, freqs, column.alternative, args.method,
         j=column.j, scores=args.scores or None, n_draws=args.draws, seed=args.seed,
@@ -167,12 +166,12 @@ def cmd_test(args) -> int:
 def _check_oracle(args, entry, params, null) -> int:
     """Cross-check an exact null against the brute-force law of the
     table statistic over all equally likely frequency vectors."""
-    if not isinstance(null, (Pmf, nulldist.JointPmf)):
+    if isinstance(null, (EmpiricalNull, NormalNull)):
         raise CliError("--oracle needs an exact pmf; use --method exact")
     m, n = args.m, args.n
     tally = nulldist._tally_arrangements(lambda c: entry.statistic(c, m, n, params), m, n)
     total = math.comb(m + n, n)
-    expected = {entry.value(v, m, n, params, True): Fraction(k, total) for v, k in tally.items()}
+    expected = {entry.value(v, m, n, params): Fraction(k, total) for v, k in tally.items()}
     # the same statistic labels both sides, so even float atoms match exactly
     if dict(zip(null.support, null.probs)) != expected:
         raise CliError("oracle cross-check FAILED: closed form disagrees with enumeration")
@@ -192,8 +191,6 @@ def cmd_dist(args) -> int:
     if args.oracle:
         _check_oracle(args, entry, params, null)
 
-    if isinstance(null, EmpiricalNull):
-        null = null.to_pmf()
     if args.output == "table" and not isinstance(null, NormalNull):
         raise CliError("--output table is for the normal approximation; use csv or json for a pmf")
     out = open(args.out, "w", newline="") if args.out else sys.stdout
@@ -246,8 +243,8 @@ _INTEGER_KEYS = ("m", "n", "p", "replicates", "seed", "null_draws", "workers", "
 
 def _check_keys(entry: dict, known: tuple, where: str):
     """Refuse a key outside ``known``, a non-integer value of an integer
-    key, a ``j`` that is neither an integer nor null, and a bool as
-    ``alpha`` or ``c``."""
+    key, a ``j`` that is neither an integer nor null, and an ``alpha``
+    or ``c`` that is not a JSON number (a bool is not one)."""
     for key, value in entry.items():
         if key not in known:
             raise CliError(f"{where}: unknown key {key!r}; known: {' '.join(known)}")
@@ -255,7 +252,7 @@ def _check_keys(entry: dict, known: tuple, where: str):
             raise CliError(f"{where}: {key!r} must be an integer, got {value!r}")
         if key == "j" and value is not None and type(value) is not int:
             raise CliError(f"{where}: 'j' must be an integer or null, got {value!r}")
-        if key in ("alpha", "c") and isinstance(value, bool):
+        if key in ("alpha", "c") and type(value) not in (int, float):
             raise CliError(f"{where}: {key!r} must be a number, got {value!r}")
 
 

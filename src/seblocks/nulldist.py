@@ -184,30 +184,20 @@ class FrequencyEnumeration:
         return len(self.vectors)
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalNull:
-    """A seeded Monte Carlo stand-in for an exact null distribution."""
+@dataclass(frozen=True)
+class EmpiricalNull(Pmf):
+    """A seeded Monte Carlo stand-in for an exact null: the law of the
+    statistic over ``total`` drawn arrangements, counted when drawn."""
 
-    values: np.ndarray  # sorted
-    m: int
-    n: int
-    statistic: str
     seed: object
-    n_draws: int
 
-    def p_lower(self, t) -> float:
-        return float(np.searchsorted(self.values, t, side="right")) / self.n_draws
-
-    def p_upper(self, t) -> float:
-        return 1.0 - float(np.searchsorted(self.values, t, side="left")) / self.n_draws
+    @property
+    def n_draws(self) -> int:
+        return self.total
 
     def to_pmf(self) -> Pmf:
-        """Collapse the draws to an exact pmf of the empirical law."""
-        uniq, counts = np.unique(self.values, return_counts=True)
-        return Pmf(
-            tuple(uniq.tolist()), tuple(counts.tolist()), self.n_draws,
-            self.m, self.n, self.statistic + "(mc)",
-        )
+        """The law itself: the draws are counted when they are made."""
+        return self
 
 
 @dataclass(frozen=True)
@@ -498,17 +488,19 @@ def _tallied_pmf(tally: dict, m: int, n: int, statistic: str, atom=lambda v: v) 
     return _exact_law(Pmf, ((atom(v), tally[v]) for v in sorted(tally)), m, n, statistic)
 
 
-def _sampled_null(statistic, m: int, n: int, n_draws: int, seed, name: str) -> EmpiricalNull:
-    """Empirical null of ``statistic``, a map from an (R, n) matrix of
+def _sampled_null(
+    statistic, m: int, n: int, n_draws: int, seed, name: str, atom=None
+) -> EmpiricalNull:
+    """Counted law of ``statistic``, a map from an (R, n) matrix of
     reference positions to R values, over ``n_draws`` seeded random
-    arrangements."""
+    arrangements; ``atom`` maps each drawn value to its atom."""
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     chunks = _sample_arrangements(m, n, n_draws, np.random.default_rng(seed))
     # map() lets go of each chunk before it draws the next
-    values = np.sort(np.concatenate(list(map(statistic, chunks))))
-    values.flags.writeable = False
-    return EmpiricalNull(values, m, n, name, seed, n_draws)
+    values, counts = np.unique(np.concatenate(list(map(statistic, chunks))), return_counts=True)
+    support = tuple(values.tolist() if atom is None else map(atom, values.tolist()))
+    return EmpiricalNull(support, tuple(counts.tolist()), n_draws, m, n, name, seed)
 
 
 def _is_ranks(scores: np.ndarray) -> bool:
@@ -539,7 +531,7 @@ def linear_rank_null(
     ``exact`` returns the statistic's distribution over all C(m+n, n)
     equally likely arrangements: consecutive-integer scores go through
     the counting recursion at any size, other scores are enumerated
-    under the cap.  ``monte_carlo`` returns a seeded empirical sample;
+    under the cap.  ``monte_carlo`` returns the counted law of seeded draws;
     ``normal`` returns the moment pair E[T] = m * sum(a) / (m+n) and
     Var[T] = mn [(m+n) sum(a^2) - (sum a)^2] / [(m+n)^2 (m+n-1)].
     """
@@ -596,8 +588,8 @@ def dixon_c2_null(
     seed=0,
 ):
     """Null reference for the squared-deviation statistic over uniform
-    frequency vectors: exact (enumeration under the cap) or a seeded
-    Monte Carlo sample of uniformly random arrangements."""
+    frequency vectors: exact (enumeration under the cap) or the counted
+    law of seeded uniformly random arrangements."""
     _validate_sizes(m, n)
     method = method.lower()
     scale = (m * (n + 1)) ** 2
@@ -608,8 +600,8 @@ def dixon_c2_null(
 
     if method == "monte_carlo":
         return _sampled_null(
-            lambda b: _dixon_rows(_counts_from_bars(b, m + n), m, n) / scale,
-            m, n, n_draws, seed, "dixon_c2",
+            lambda b: _dixon_rows(_counts_from_bars(b, m + n), m, n),
+            m, n, n_draws, seed, "dixon_c2", lambda s: Fraction(s, scale),
         )
 
     raise ValueError(f"method must be exact or monte_carlo, got {method!r}")

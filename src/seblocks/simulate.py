@@ -221,8 +221,6 @@ def _cached_rule(
 ) -> RejectionRule:
     entry, params = twosample.resolve_statistic(test, m, n, j)
     null = entry.null(m, n, params, method=method, n_draws=n_draws, seed=seed_key)
-    if isinstance(null, nulldist.EmpiricalNull):
-        null = null.to_pmf()
     return build_rejection_rule(null, alpha, alternative)
 
 
@@ -378,7 +376,7 @@ def run_power_study(
             )
             if (cfg.test, cfg.j) not in index:
                 index[(cfg.test, cfg.j)] = len(bound)
-                bound.append(entry.bind(m_eff, n_eff, params, method == "exact"))
+                bound.append(entry.bind(m_eff, n_eff, params))
             cols.append((index[(cfg.test, cfg.j)], plan_names.index(cfg.fitted_plan), rule))
         statistics[n_eff], columns[n_eff] = tuple(bound), tuple(cols)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .partition import BlockFrequencies, TieError
 from . import nulldist, partition
-from .nulldist import EmpiricalNull, Pmf
+from .nulldist import Pmf
 
 __all__ = [
     "ScoreFamily",
@@ -346,14 +346,12 @@ def _score_params(m: int, n: int, j, scores) -> ScoreVector:
     return sv
 
 
-def _rank_value(v, m: int, n: int, sv: ScoreVector, exact: bool):
+def _rank_value(v, m: int, n: int, sv: ScoreVector):
     return int(round(float(v))) if sv.family is ScoreFamily.WILCOXON else float(v)
 
 
-def _dixon_value(v, m: int, n: int, params, exact: bool):
-    # the Monte Carlo null holds floats; mirror its arithmetic exactly
-    scale = (m * (n + 1)) ** 2
-    return Fraction(int(v), scale) if exact else int(v) / scale
+def _dixon_value(v, m: int, n: int, params):
+    return Fraction(int(v), (m * (n + 1)) ** 2)
 
 
 def _block_runs(c, m: int, n: int, params):
@@ -376,9 +374,8 @@ class BlockStatistic:
 
     ``statistic(counts, m, n, params)`` maps frequency vectors (the last
     axis of ``counts``, one row or an (R, n+1) matrix) to values;
-    ``value(v, m, n, params, exact)`` turns one value into the reported
-    statistic, typed like the atoms of the null (``exact``: the null is
-    the exact law, not a Monte Carlo one).  ``null(m, n, params,
+    ``value(v, m, n, params)`` turns one value into the reported
+    statistic, typed like the atoms of the null.  ``null(m, n, params,
     method=, n_draws=, seed=)`` builds the null reference; entries
     without ``methods`` ignore the keywords, their closed forms are
     always exact.  ``params(m, n, j, scores)`` applies the parameter
@@ -392,7 +389,7 @@ class BlockStatistic:
     null: Callable
     alternative: str | None
     params: Callable = _no_params
-    value: Callable = lambda v, m, n, params, exact: int(v)
+    value: Callable = lambda v, m, n, params: int(v)
     methods: bool = False
 
     def describe(self, params) -> tuple[str, dict]:
@@ -401,17 +398,17 @@ class BlockStatistic:
             return f"{self.name}[{params.family.value}]", {"scores": params.family.value}
         return (self.name, {}) if params is None else (f"{self.name}(j={params})", {"j": params})
 
-    def observe(self, m: int, n: int, params, exact: bool, counts: np.ndarray):
+    def observe(self, m: int, n: int, params, counts: np.ndarray):
         """The reported statistic of one frequency vector, or the list
         of them for the rows of an (R, n+1) matrix."""
         v = self.statistic(counts, m, n, params)
         if counts.ndim == 1:
-            return self.value(v, m, n, params, exact)
-        return [self.value(row, m, n, params, exact) for row in v.tolist()]
+            return self.value(v, m, n, params)
+        return [self.value(row, m, n, params) for row in v.tolist()]
 
-    def bind(self, m: int, n: int, params, exact: bool) -> Callable:
+    def bind(self, m: int, n: int, params) -> Callable:
         """``observe`` with everything but the counts fixed."""
-        return partial(self.observe, m, n, params, exact)
+        return partial(self.observe, m, n, params)
 
     def __reduce__(self):
         # the entries hold lambdas; a pickle names the entry instead
@@ -454,7 +451,7 @@ STATISTICS = {
             _interior_exterior,
             lambda m, n, p, **_: nulldist.interior_exterior_empty_pmf(m, n),
             None,
-            value=lambda v, m, n, params, exact: tuple(int(x) for x in v),
+            value=lambda v, m, n, params: tuple(int(x) for x in v),
         ),
         BlockStatistic(
             "dixon_c2",
@@ -573,7 +570,7 @@ def block_test(
     alternative = _check_alternative(alternative or entry.alternative)
     method = null_method(entry, m, n, params, method)
     null = entry.null(m, n, params, method=method, n_draws=n_draws, seed=seed)
-    stat = entry.observe(m, n, params, isinstance(null, Pmf), np.asarray(freqs.counts))
+    stat = entry.observe(m, n, params, np.asarray(freqs.counts))
     name, meta = entry.describe(params)
     return _result(stat, name, null, alternative, method, {"m": m, "n": n, **meta})
 
@@ -652,7 +649,7 @@ def runs_statistic(x, y) -> int:
     """Number of maximal same-sample runs in the sorted pooled sample,
     the table's ``runs`` statistic of the univariate blocks of y."""
     freqs = _univariate_frequencies(x, y)
-    return STATISTICS["runs"].observe(freqs.m, freqs.n, None, True, np.asarray(freqs.counts))
+    return STATISTICS["runs"].observe(freqs.m, freqs.n, None, np.asarray(freqs.counts))
 
 
 def runs_test(x, y, alternative: str | None = None, *, on_ties="error", seed=None) -> TestResult:
@@ -756,17 +753,6 @@ class RandomizedDecision:
     rule: RejectionRule
 
 
-def _discrete_null(null) -> Pmf:
-    if isinstance(null, Pmf):
-        return null
-    if isinstance(null, EmpiricalNull):
-        return null.to_pmf()
-    raise ValueError(
-        "randomized decisions need a discrete null reference; "
-        f"got {type(null).__name__}"
-    )
-
-
 def randomized_decision(result: TestResult, alpha: float, seed=None) -> RandomizedDecision:
     """Accept or reject at exact level ``alpha``.
 
@@ -774,7 +760,11 @@ def randomized_decision(result: TestResult, alpha: float, seed=None) -> Randomiz
     probability gamma on it, so the rejection probability under the null
     is exactly ``alpha`` rather than the nearest achievable tail.
     """
-    pmf = _discrete_null(result.null_reference)
+    pmf = result.null_reference
+    if not isinstance(pmf, Pmf):
+        raise ValueError(
+            f"randomized decisions need a discrete null reference; got {type(pmf).__name__}"
+        )
     rule = build_rejection_rule(pmf, alpha, result.alternative)
     rng = np.random.default_rng(seed)
     u = float(rng.random())

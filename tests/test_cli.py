@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from seblocks import cli, simulate, twosample
-from seblocks.partition import PLAN_NAMES, Sample, block_frequencies, fit_partition, make_plan
+from seblocks.partition import (
+    PLAN_NAMES, Sample, block_frequencies, canonical_plan, fit_partition, make_plan,
+)
 
 Y_TOY = [
     [1.28, 0.87], [-0.79, -0.96], [0.70, 0.65],
@@ -151,7 +153,7 @@ class TestTestCommand:
         expected = twosample.block_test("wilcoxon", freqs, method="auto").to_json_dict()
         for key in ("statistic", "p_lower", "p_upper", "p_two_sided", "p_value"):
             assert payload[key] == expected[key], key
-        assert payload["plan"] == plan.label.value
+        assert payload["plan"] == canonical_plan(label)
 
     def test_runs_refuses_an_unknown_plan(self, tmp_path, capsys):
         x = write_csv(tmp_path / "x.csv", [[-4.62], [-1.56], [0.27]])
@@ -226,6 +228,14 @@ class TestDistCommand:
         ])
         assert code == 0
         assert "oracle cross-check passed" in capsys.readouterr().err
+
+    def test_oracle_refuses_a_monte_carlo_law(self, capsys):
+        code = cli.main([
+            "dist", "--statistic", "linear_rank", "--scores", "mood", "--m", "4", "--n", "3",
+            "--method", "monte_carlo", "--oracle",
+        ])
+        assert code == 1
+        assert "--oracle needs an exact pmf" in capsys.readouterr().err
 
     def test_oracle_all_statistics(self, capsys):
         for stat in ("empty_block", "maximal_block", "runs", "interior_exterior", "dixon_c2", "linear_rank"):
@@ -382,6 +392,12 @@ class TestPowerCommand:
          "top level: 'alpha' must be a number, got True"),
         ('{"replicates": 2, "seed": 1, "runs": [{"tests": "ALL"}, {"c": false, "tests": "ALL"}]}',
          "runs[1]: 'c' must be a number, got False"),
+        ('{"alpha": null, "replicates": 2, "seed": 1, "runs": [{"tests": "ALL"}]}',
+         "top level: 'alpha' must be a number, got None"),
+        ('{"alpha": "0.05", "replicates": 2, "seed": 1, "runs": [{"tests": "ALL"}]}',
+         "top level: 'alpha' must be a number, got '0.05'"),
+        ('{"replicates": 2, "seed": 1, "runs": [{"c": "0", "tests": "ALL"}]}',
+         "runs[0]: 'c' must be a number, got '0'"),
     ])
     def test_malformed_config_is_one_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.json"

@@ -114,10 +114,10 @@ FAMILIES = {
     "terry_hoeffding_mc": lambda: nulldist.linear_rank_null(
         30, 30, make_scores("terry_hoeffding", 30, 30).scores, "monte_carlo",
         n_draws=20_000, seed=4,
-    ).to_pmf(),
+    ),
     "dixon_mc": lambda: nulldist.dixon_c2_null(
         20, 20, "monte_carlo", n_draws=5_000, seed=2
-    ).to_pmf(),
+    ),
 }
 
 
@@ -169,11 +169,15 @@ def test_level_at_the_total_is_rejected():
 
 def test_to_pmf_and_rule_build_no_fraction_per_atom():
     """The memory the old path spent on one Fraction per atom: a
-    200,000-draw Terry-Hoeffding null has about 200,000 atoms."""
+    200,000-draw Terry-Hoeffding null has about 200,000 atoms.  The
+    measured build counts the draws into the law and builds the rule."""
     draws = 200_000
     scores = make_scores("terry_hoeffding", 50, 50).scores
-    null = nulldist.linear_rank_null(50, 50, scores, "monte_carlo", n_draws=draws, seed=3)
-    counts = np.unique(null.values, return_counts=True)[1].tolist()
+
+    def counted_law():
+        return nulldist.linear_rank_null(50, 50, scores, "monte_carlo", n_draws=draws, seed=3)
+
+    counts = counted_law().counts
     assert len(counts) > 0.9 * draws
 
     tracemalloc.start()
@@ -183,8 +187,7 @@ def test_to_pmf_and_rule_build_no_fraction_per_atom():
         del fractions
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        pmf = null.to_pmf()
-        build_rejection_rule(pmf, 0.05, "two-sided")
+        build_rejection_rule(counted_law(), 0.05, "two-sided")
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
