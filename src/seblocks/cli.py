@@ -42,22 +42,27 @@ class CliError(Exception):
 def read_sample_csv(path: str) -> Sample:
     """Read one observation per row, one coordinate per column.
 
-    A single leading header row is detected and skipped when any of its
-    cells is not numeric.
+    Blank rows are skipped.  The first other row is taken as a header and
+    skipped when any of its cells is not numeric.  A UTF-8 byte-order
+    mark is dropped, and an error names the row by its line in the file.
     """
+    rows, first_row = [], True
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
-            raw = [row for row in reader if row and any(cell.strip() for cell in row)]
+            for row in reader:
+                if not any(cell.strip() for cell in row):
+                    continue
+                try:
+                    rows.append([float(cell) for cell in row])
+                except ValueError:
+                    if not first_row:
+                        raise CliError(
+                            f"{path}: row {reader.line_num} has a non-numeric cell: {row!r}"
+                        ) from None
+                first_row = False
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}") from exc
-    rows = []
-    for lineno, row in enumerate(raw, start=1):
-        try:
-            rows.append([float(cell) for cell in row])
-        except ValueError:
-            if lineno > 1:  # else a header row
-                raise CliError(f"{path}: row {lineno} has a non-numeric cell: {row!r}") from None
     if not rows:
         raise CliError(f"{path}: no data rows")
     widths = {len(r) for r in rows}
@@ -284,10 +289,9 @@ def _load_power_config(path: str) -> dict:
             for k, t in enumerate(block["tests"]):
                 if isinstance(t, dict):
                     _check_keys(t, _TEST_KEYS, f"{origin}: runs[{i}].tests[{k}]")
-    if cfg["replicates"] < 1:
-        raise CliError(f"{origin}: replicates must be >= 1")
-    if cfg.get("workers", 1) < 1:
-        raise CliError(f"{origin}: workers must be >= 1")
+    for key, least in (("replicates", 1), ("seed", 0), ("null_draws", 1), ("workers", 1)):
+        if cfg.get(key, least) < least:
+            raise CliError(f"{origin}: {key} must be >= {least}")
     return cfg
 
 
@@ -370,6 +374,21 @@ def cmd_power(args) -> int:
     return 0
 
 
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than ``least``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a ``CliError``: one line, exit 1."""
 
@@ -396,8 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument(
         "--method", default="auto", choices=["auto", "exact", "monte_carlo", "normal"]
     )
-    t.add_argument("--draws", type=int, default=200_000, help="Monte Carlo null draws")
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument(
+        "--draws", type=_at_least(1), default=nulldist.DEFAULT_DRAWS, help="Monte Carlo null draws"
+    )
+    t.add_argument("--seed", type=_at_least(0), default=0)
     t.add_argument("--decide", action="store_true", help="exit 2 on rejection at --alpha")
     t.add_argument("--output", default="json", choices=["json", "table", "csv"])
     t.add_argument("--partition-sample", default="y", choices=["y", "x"])
@@ -411,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--j", type=int, default=None)
     d.add_argument("--scores", default=None)
     d.add_argument("--method", default="auto", choices=["auto", "exact", "monte_carlo", "normal"])
-    d.add_argument("--draws", type=int, default=200_000)
-    d.add_argument("--seed", type=int, default=0)
+    d.add_argument("--draws", type=_at_least(1), default=nulldist.DEFAULT_DRAWS)
+    d.add_argument("--seed", type=_at_least(0), default=0)
     d.add_argument("--oracle", action="store_true", help="cross-check against enumeration")
     d.add_argument("--output", default="csv", choices=["csv", "json", "table"])
     d.add_argument("--out", default=None, help="write to a file instead of stdout")

@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 DEFAULT_ENUM_CAP = 10_000_000
+# the number of Monte Carlo null draws when a caller names none
+DEFAULT_DRAWS = 200_000
 ENUM_CAP_ENV = "SEBLOCKS_ENUM_CAP"
 
 
@@ -522,7 +524,7 @@ def linear_rank_null(
     scores,
     method: str = "exact",
     *,
-    n_draws: int = 200_000,
+    n_draws: int = DEFAULT_DRAWS,
     seed=0,
 ):
     """Null reference for a linear rank statistic (sum of scores at the
@@ -584,7 +586,7 @@ def dixon_c2_null(
     n: int,
     method: str = "exact",
     *,
-    n_draws: int = 200_000,
+    n_draws: int = DEFAULT_DRAWS,
     seed=0,
 ):
     """Null reference for the squared-deviation statistic over uniform

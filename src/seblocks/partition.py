@@ -195,6 +195,38 @@ class PartitionPlan:
         return signed[:, layout.table[:, :-1]]
 
 
+def _cycle_plan(
+    p: int, n: int, sequence: tuple[int, ...], first: Direction, alternate: bool, label: PlanLabel
+) -> PartitionPlan:
+    """The one cut-schedule generator: cut k projects on ``sequence[k %
+    len(sequence)]`` and takes ``first``, or with ``alternate`` each
+    component alternates from ``first`` on its successive visits."""
+    other = Direction.MAX if first is Direction.MIN else Direction.MIN
+    visits = dict.fromkeys(sequence, 0)
+    cuts = []
+    for k in range(n):
+        comp = sequence[k % len(sequence)]
+        cuts.append(CutRule(comp, other if alternate and visits[comp] % 2 else first))
+        visits[comp] += 1
+    return PartitionPlan(p, n, tuple(cuts), label)
+
+
+def _check_schedule(p: int, n: int, name: str, direction, axes=None) -> tuple[int, ...]:
+    """Refuse bad (p, n), ``name``d direction or axes; return the axes (default: all p)."""
+    if p < 1:
+        raise ValueError(f"dimension must be >= 1, got {p}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not isinstance(direction, Direction):
+        raise ValueError(f"{name} must be a Direction, got {direction!r}")
+    if axes is None:
+        return tuple(range(1, p + 1))
+    axes = tuple(int(a) for a in axes)
+    if not axes or any(a < 1 or a > p for a in axes):
+        raise ValueError(f"axes must be nonempty components in [1, {p}], got {axes}")
+    return axes
+
+
 def make_univariate_plan(n: int, ascending: bool = True) -> PartitionPlan:
     """Plan the classical univariate blocks.
 
@@ -202,21 +234,10 @@ def make_univariate_plan(n: int, ascending: bool = True) -> PartitionPlan:
     half-open interval between the (k-1)-th and k-th order statistics.
     Descending order peels from the maximum instead.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     direction = Direction.MIN if ascending else Direction.MAX
-    cuts = tuple(CutRule(1, direction) for _ in range(n))
+    axes = _check_schedule(1, n, "direction", direction)
     label = PlanLabel.UNIVARIATE_ASC if ascending else PlanLabel.UNIVARIATE_DESC
-    return PartitionPlan(1, n, cuts, label)
-
-
-def _check_axes(axes: Sequence[int] | None, p: int) -> tuple[int, ...]:
-    if axes is None:
-        return tuple(range(1, p + 1))
-    axes = tuple(int(a) for a in axes)
-    if not axes or any(a < 1 or a > p for a in axes):
-        raise ValueError(f"axes must be nonempty components in [1, {p}], got {axes}")
-    return axes
+    return _cycle_plan(1, n, axes, direction, False, label)
 
 
 def figure_axes(p: int) -> tuple[int, ...]:
@@ -239,21 +260,9 @@ def make_stairstep_plan(
     them by default); with ``boustrophedon`` the order reverses on every
     other sweep (1,...,p,p,...,1,1,...).
     """
-    if p < 1:
-        raise ValueError(f"dimension must be >= 1, got {p}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not isinstance(direction, Direction):
-        raise ValueError(f"direction must be a Direction, got {direction!r}")
-    axes = _check_axes(axes, p)
-    components = []
-    forward = True
-    while len(components) < n:
-        components.extend(axes if forward else axes[::-1])
-        if boustrophedon:
-            forward = not forward
-    cuts = tuple(CutRule(c, direction) for c in components[:n])
-    return PartitionPlan(p, n, cuts, PlanLabel.STAIRSTEP)
+    axes = _check_schedule(p, n, "direction", direction, axes)
+    sequence = axes + axes[::-1] if boustrophedon else axes
+    return _cycle_plan(p, n, sequence, direction, False, PlanLabel.STAIRSTEP)
 
 
 def make_spiral_plan(
@@ -271,31 +280,9 @@ def make_spiral_plan(
     ``paired`` each coordinate is cut at both extremes before the
     schedule advances.
     """
-    if p < 1:
-        raise ValueError(f"dimension must be >= 1, got {p}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not isinstance(start, Direction):
-        raise ValueError(f"start must be a Direction, got {start!r}")
-    axes = _check_axes(axes, p)
-    other = Direction.MAX if start is Direction.MIN else Direction.MIN
-    cuts = []
-    if paired:
-        idx = 0
-        while len(cuts) < n:
-            comp = axes[idx % len(axes)]
-            cuts.append(CutRule(comp, start))
-            if len(cuts) < n:
-                cuts.append(CutRule(comp, other))
-            idx += 1
-    else:
-        visits = {a: 0 for a in axes}
-        for k in range(n):
-            comp = axes[k % len(axes)]
-            direction = start if visits[comp] % 2 == 0 else other
-            visits[comp] += 1
-            cuts.append(CutRule(comp, direction))
-    return PartitionPlan(p, n, tuple(cuts), PlanLabel.SPIRAL)
+    axes = _check_schedule(p, n, "start", start, axes)
+    sequence = tuple(a for a in axes for _ in range(1 + paired))
+    return _cycle_plan(p, n, sequence, start, True, PlanLabel.SPIRAL)
 
 
 def _univariate_builder(ascending: bool):

@@ -333,7 +333,7 @@ def run_power_study(
     base_seed: int,
     *,
     workers: int = 1,
-    n_null_draws: int = 200_000,
+    n_null_draws: int = nulldist.DEFAULT_DRAWS,
 ) -> list[PowerEstimate]:
     """Estimate rejection rates for each configured test.
 

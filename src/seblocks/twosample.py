@@ -162,7 +162,11 @@ def _siegel_tukey_scores(size: int) -> np.ndarray:
 def make_scores(family: ScoreFamily | str, m: int, n: int) -> ScoreVector:
     """Standard score vectors of length m + n for the named family."""
     if isinstance(family, str):
-        family = ScoreFamily(family.lower())
+        try:
+            family = ScoreFamily(family.lower())
+        except ValueError:
+            known = " ".join(f.value for f in ScoreFamily if f is not ScoreFamily.CUSTOM)
+            raise ValueError(f"unknown score family {family!r}; known: {known}") from None
     size = m + n
     if size < 2:
         raise ValueError("need m + n >= 2")
@@ -553,7 +557,7 @@ def block_test(
     *,
     j: int | None = None,
     scores=None,
-    n_draws: int = 200_000,
+    n_draws: int = nulldist.DEFAULT_DRAWS,
     seed=0,
 ) -> TestResult:
     """Test a statistic of the block frequencies against its null.
@@ -581,7 +585,7 @@ def linear_rank_test(
     alternative: str | None = None,
     method: str = "exact",
     *,
-    n_draws: int = 200_000,
+    n_draws: int = nulldist.DEFAULT_DRAWS,
     seed=0,
 ) -> TestResult:
     """Linear rank test T = sum of scores at comparison positions of the
@@ -622,7 +626,7 @@ def dixon_c2_test(
     method: str = "exact",
     alternative: str | None = None,
     *,
-    n_draws: int = 200_000,
+    n_draws: int = nulldist.DEFAULT_DRAWS,
     seed=0,
 ) -> TestResult:
     """Sum of squared deviations of block shares from 1/(n+1); heavy

@@ -25,8 +25,8 @@ BENCHMARK = {
     "run_seconds": 3,
     "workloads": [{"name": "w1"}, {"name": "w2"}],
     "end_to_end": [
-        {"name": "op_ms", "unit": "ms", "better": "lower"},
-        {"name": "rate", "unit": "1/s", "better": "higher"},
+        {"name": "op_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+        {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.1},
     ],
 }
 
@@ -64,9 +64,40 @@ def test_compare_follows_the_metric_direction():
     def run(rate):
         return {"metrics": {"rate": {"value": rate, "unit": "1/s"}}}
 
-    metrics = {"rate": {"unit": "1/s", "better": "higher"}}
+    metrics = {"rate": {"unit": "1/s", "better": "higher", "bound": 0.1}}
     table = bench_pairs.compare([run(1.0), run(3.0)], [run(2.0), run(2.0)], metrics)
     assert (table["rate"]["change_wins"], table["rate"]["parent_wins"]) == (1, 1)
+
+
+def test_a_median_worse_beyond_its_bound_is_regressed(tmp_path, capsys):
+    def run(**values):
+        return {"metrics": {k: {"value": v, "unit": ""} for k, v in values.items()}}
+
+    metrics = {"op_ms": {"unit": "ms", "better": "lower", "bound": 0.25},
+               "rate": {"unit": "1/s", "better": "higher", "bound": 0.1}}
+    parent = [run(op_ms=4.0, rate=10.0)] * 3
+
+    def regressed(**values):
+        table = bench_pairs.compare(parent, [run(**values)] * 3, metrics)
+        return table["op_ms"]["regressed"], table["rate"]["regressed"]
+
+    # exactly at the bound is still inside it, on either side of better
+    assert regressed(op_ms=5.0, rate=9.0) == (False, False)
+    assert regressed(op_ms=5.01, rate=8.99) == (True, True)
+    # a better median never regresses, however far it moves
+    assert regressed(op_ms=1.0, rate=100.0) == (False, False)
+
+    # the summary line marks a regressed metric
+    slow = _checkout(tmp_path, "slow", op_ms=3.0, rate=8.0)
+    fast = _checkout(tmp_path, "fast", op_ms=2.0, rate=10.0)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(fast), "--change", str(slow), "--seed", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("change wins 0/10 REGRESSED") and lines[0].startswith("seed 1 w1 op_ms")
+    assert lines[1].endswith("change wins 0/10 REGRESSED") and lines[1].startswith("seed 1 w1 rate")
+    table = json.loads(out.read_text())["seeds"]["1"]["w2"]["metrics"]
+    assert table["op_ms"]["regressed"] is True and table["rate"]["regressed"] is True
 
 
 def _git(repo: Path, *args: str):

@@ -82,6 +82,22 @@ class TestTestCommand:
         assert cli.main(["test", "--x", str(path), "--y", y]) == 1
         assert "row 2" in capsys.readouterr().err
 
+    def test_a_bad_row_is_named_by_its_line_in_the_file(self, tmp_path, capsys):
+        # blank lines count: the spreadsheet and the editor both call it row 5
+        path = tmp_path / "gaps.csv"
+        path.write_text("1\n2\n\n\nfoo\n")
+        y = write_csv(tmp_path / "y.csv", [[0.5]])
+        assert cli.main(["test", "--x", str(path), "--y", y]) == 1
+        assert capsys.readouterr().err == f"error: {path}: row 5 has a non-numeric cell: ['foo']\n"
+
+    def test_a_byte_order_mark_keeps_the_first_row(self, tmp_path):
+        # the "CSV UTF-8" export of spreadsheets starts with a BOM
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.5,2\n2.5,3\n3.5,4\n")
+        assert cli.read_sample_csv(str(path)).points.tolist() == [[1.5, 2], [2.5, 3], [3.5, 4]]
+        path.write_bytes(b"\xef\xbb\xbfu,v\n2.5,3\n")
+        assert cli.read_sample_csv(str(path)).points.tolist() == [[2.5, 3]]
+
     def test_header_autodetected(self, tmp_path, capsys):
         x = write_csv(tmp_path / "x.csv", X_ALT, header=["u", "v"])
         y = write_csv(tmp_path / "y.csv", Y_TOY)
@@ -184,6 +200,17 @@ class TestUsageErrors:
          "seblocks test: argument --method: invalid choice: 'bogus'"),
         (["test", "--y", "y.csv"], "seblocks test: the following arguments are required: --x"),
         ([], "seblocks: the following arguments are required: command"),
+        # refused before any null is built, exact (empty_block) or Monte Carlo
+        (["test", "--x", "x.csv", "--y", "y.csv", "--test", "empty_block", "--seed", "-2"],
+         "seblocks test: argument --seed: must be >= 0, got -2\n"),
+        (["test", "--x", "x.csv", "--y", "y.csv", "--draws", "0"],
+         "seblocks test: argument --draws: must be >= 1, got 0\n"),
+        (["dist", "--statistic", "dixon_c2", "--m", "3", "--n", "3", "--seed", "-1"],
+         "seblocks dist: argument --seed: must be >= 0, got -1\n"),
+        (["dist", "--statistic", "dixon_c2", "--m", "3", "--n", "3", "--draws", "-5"],
+         "seblocks dist: argument --draws: must be >= 1, got -5\n"),
+        (["dist", "--statistic", "dixon_c2", "--m", "3", "--n", "3", "--seed", "1.5"],
+         "seblocks dist: argument --seed: invalid int value: '1.5'\n"),
     ])
     def test_a_usage_error_is_one_line_and_exit_one(self, capsys, argv, message):
         assert cli.main(argv) == 1
@@ -320,6 +347,16 @@ class TestDistCommand:
     def test_unknown_statistic(self, capsys):
         assert cli.main(["dist", "--statistic", "entropy", "--m", "3", "--n", "3"]) == 1
 
+    @pytest.mark.parametrize("family", ["vdw", "th"])
+    def test_an_unknown_score_family_lists_the_known_ones(self, toy_files, capsys, family):
+        x, y = toy_files
+        known = "wilcoxon van_der_waerden terry_hoeffding mood klotz siegel_tukey"
+        for argv in (["dist", "--statistic", "linear_rank", "--m", "3", "--n", "3"],
+                     ["test", "--x", x, "--y", y]):
+            assert cli.main([*argv, "--scores", family]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: unknown score family {family!r}; known: {known}\n"
+
 
 class TestPowerCommand:
     def make_config(self, tmp_path, **overrides):
@@ -398,6 +435,9 @@ class TestPowerCommand:
          "top level: 'alpha' must be a number, got '0.05'"),
         ('{"replicates": 2, "seed": 1, "runs": [{"c": "0", "tests": "ALL"}]}',
          "runs[0]: 'c' must be a number, got '0'"),
+        ('{"replicates": 2, "seed": -1, "runs": [{"tests": "ALL"}]}', "seed must be >= 0"),
+        ('{"replicates": 2, "seed": 1, "null_draws": 0, "runs": [{"tests": "ALL"}]}',
+         "null_draws must be >= 1"),
     ])
     def test_malformed_config_is_one_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.json"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,74 @@ class TestPlans:
         assert layout.cut_signs.tolist() == [1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0]
         assert layout.used_columns == [0, 1]
         assert layout.table.tolist() == [[2, 6, 7], [0, 4, 7], [3, 7, 7], [1, 5, 7]]
+
+
+# the grid over which every cut schedule is pinned: each plan name, and
+# each builder with every option, at p = 1..6 and these reference sizes
+_PIN_SIZES = (*range(1, 30), 100, 200)
+
+
+def _axes_choices(p):
+    return (None, (1,), figure_axes(p), tuple(range(p, 0, -1)), (1, p, 1))
+
+
+def _schedule_lines():
+    def line(build, *args, **kwargs):
+        try:
+            plan = build(*args, **kwargs)
+        except ValueError as exc:
+            return f"{args} {kwargs} {type(exc).__name__}: {exc}"
+        cuts = " ".join(f"{c.component}{c.direction.value}" for c in plan.cuts)
+        return f"{plan.p} {plan.n} {plan.label.value} {cuts}"
+
+    for p in range(1, 7):
+        for n in _PIN_SIZES:
+            yield from (line(make_plan, name, p, n) for name in PLAN_NAMES)
+            for axes in _axes_choices(p):
+                for flag in (False, True):
+                    for way in Direction:
+                        yield line(make_stairstep_plan, p, n, way, boustrophedon=flag, axes=axes)
+                        yield line(make_spiral_plan, p, n, paired=flag, axes=axes, start=way)
+    for n in _PIN_SIZES:
+        yield from (line(make_univariate_plan, n, ascending=way) for way in (True, False))
+
+
+def test_every_cut_schedule_is_pinned():
+    lines = list(_schedule_lines())
+    assert len(lines) == 9176
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "d7042092fb24c5a736e1a58f3b0b82b17de68f4e2f5522c564771b3445a8ff28"
+
+
+@pytest.mark.parametrize("build, args, kwargs, message", [
+    (make_univariate_plan, (0,), {}, "n must be >= 1, got 0"),
+    (make_stairstep_plan, (0, 4), {}, "dimension must be >= 1, got 0"),
+    (make_stairstep_plan, (0, 0), {"direction": "min"}, "dimension must be >= 1, got 0"),
+    (make_stairstep_plan, (2, 0), {"direction": "min"}, "n must be >= 1, got 0"),
+    (make_stairstep_plan, (2, 3), {"direction": "min", "axes": ()},
+     "direction must be a Direction, got 'min'"),
+    (make_stairstep_plan, (2, 3), {"axes": ()},
+     "axes must be nonempty components in [1, 2], got ()"),
+    (make_stairstep_plan, (2, 3), {"axes": (0, 1)},
+     "axes must be nonempty components in [1, 2], got (0, 1)"),
+    (make_stairstep_plan, (2, 3), {"axes": ["a"]},
+     "invalid literal for int() with base 10: 'a'"),
+    (make_spiral_plan, (0, 4), {"start": "max"}, "dimension must be >= 1, got 0"),
+    (make_spiral_plan, (3, 0), {}, "n must be >= 1, got 0"),
+    (make_spiral_plan, (2, 3), {"start": "max", "axes": (5,)},
+     "start must be a Direction, got 'max'"),
+    (make_spiral_plan, (2, 3), {"paired": True, "axes": (1, 3)},
+     "axes must be nonempty components in [1, 2], got (1, 3)"),
+    (make_plan, ("univariate", 2, 0), {}, "univariate plan requires 1-dimensional data"),
+    (make_plan, ("univariate_desc", 1, 0), {}, "n must be >= 1, got 0"),
+    (make_plan, ("spiral", 0, 3), {}, "dimension must be >= 1, got 0"),
+    (make_plan, ("stairstep_max", 2, -1), {}, "n must be >= 1, got -1"),
+    (make_plan, ("zigzag", 2, 3), {}, "unknown plan label 'zigzag'"),
+])
+def test_every_builder_refusal_is_pinned(build, args, kwargs, message):
+    with pytest.raises(ValueError) as caught:
+        build(*args, **kwargs)
+    assert type(caught.value) is ValueError and str(caught.value) == message
 
 
 class TestFitPartition:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from seblocks import simulate
-from seblocks.nulldist import enumerate_frequency_vectors
+from seblocks.nulldist import CapacityError, enumerate_frequency_vectors
 from seblocks.partition import (
     Direction,
     Sample,
@@ -458,6 +458,18 @@ class TestBatchedUniformity:
             for v in enumerate_frequency_vectors(m, n).vectors
         )
         assert report.max_se_deviation == walk
+
+    def test_a_check_above_the_enumeration_cap_is_refused(self, monkeypatch):
+        monkeypatch.delenv("SEBLOCKS_ENUM_CAP", raising=False)
+        with pytest.raises(CapacityError) as caught:
+            frequency_uniformity_check(13, 13, 2, "spiral", 10)
+        assert str(caught.value) == "C(26, 13) = 10400600 vectors cannot be tabulated"
+        # the cap itself is allowed: C(6, 3) = 20
+        monkeypatch.setenv("SEBLOCKS_ENUM_CAP", "19")
+        with pytest.raises(CapacityError, match=r"^C\(6, 3\) = 20 vectors cannot be tabulated$"):
+            frequency_uniformity_check(3, 3, 2, "spiral", 10)
+        monkeypatch.setenv("SEBLOCKS_ENUM_CAP", "20")
+        assert frequency_uniformity_check(3, 3, 2, "spiral", 10).n_possible == 20
 
     @pytest.mark.parametrize("label, p, match", [
         ("no_such_plan", 2, "unknown plan label"),

@@ -8,9 +8,12 @@ every seed and every workload of the change's ``BENCHMARK.json``:
 ``PAIRS`` pairs, the parent first in even pairs and the change first in
 odd ones, each run for that file's ``run_seconds`` with tracing off.
 The result file holds, per seed, workload and end-to-end metric, each
-side's runs, median and quartiles, and the number of pairs each side
-won (ties count for neither); it is rewritten after every workload,
-and a one-line summary per workload and metric goes to stdout.  It
+side's runs, median and quartiles, the number of pairs each side won
+(ties count for neither), and ``regressed``: whether the change's
+median is worse than the parent's by more than the metric's ``bound``
+times the parent's median.  It is rewritten after every workload, and
+a one-line summary per workload and metric goes to stdout, ending in
+``REGRESSED`` for such a metric.  It
 also names the code of each side: the checkout's HEAD and, when the
 checkout differs from it, the SHA-256 of ``git diff HEAD --binary``
 followed by each untracked file's path and bytes.
@@ -48,19 +51,23 @@ def summary(values: list) -> dict:
 
 
 def compare(parent_runs: list, change_runs: list, metrics: dict) -> dict:
-    """Per metric: each side's summary and pair wins."""
+    """Per metric: each side's summary, pair wins, and whether the
+    change's median regressed beyond the metric's bound."""
     out = {}
     for name, spec in metrics.items():
         before = [r["metrics"][name]["value"] for r in parent_runs]
         after = [r["metrics"][name]["value"] for r in change_runs]
         sign = 1 if spec["better"] == "lower" else -1
+        parent, change = summary(before), summary(after)
+        loss = sign * (change["median"] - parent["median"])
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
-            "parent": summary(before),
-            "change": summary(after),
+            "parent": parent,
+            "change": change,
             "change_wins": sum(sign * (b - a) > 0 for b, a in zip(before, after)),
             "parent_wins": sum(sign * (a - b) > 0 for b, a in zip(before, after)),
+            "regressed": loss > spec["bound"] * abs(parent["median"]),
         }
     return out
 
@@ -128,7 +135,7 @@ def main(argv=None) -> int:
             print(f"seed {seed} {workload} {name}: parent {before['median']:.6g} "
                   f"[{before['q1']:.6g}, {before['q3']:.6g}] -> change {after['median']:.6g} "
                   f"[{after['q1']:.6g}, {after['q3']:.6g}] {row['unit']}; change wins "
-                  f"{row['change_wins']}/{PAIRS}", flush=True)
+                  f"{row['change_wins']}/{PAIRS}{' REGRESSED' if row['regressed'] else ''}", flush=True)
         args.out.write_text(json.dumps(result, indent=2) + "\n")
     return 0
 
