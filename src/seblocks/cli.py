@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -174,13 +173,14 @@ def _check_oracle(args, entry, params, null) -> int:
     if isinstance(null, (EmpiricalNull, NormalNull)):
         raise CliError("--oracle needs an exact pmf; use --method exact")
     m, n = args.m, args.n
-    tally = nulldist._tally_arrangements(lambda c: entry.statistic(c, m, n, params), m, n)
-    total = math.comb(m + n, n)
-    expected = {entry.value(v, m, n, params): Fraction(k, total) for v, k in tally.items()}
+    law = nulldist._arrangement_law(
+        lambda b: entry.statistic(nulldist._counts_from_bars(b, m + n), m, n, params),
+        m, n, "exact", None, None, args.statistic, lambda v: entry.value(v, m, n, params),
+    )
     # the same statistic labels both sides, so even float atoms match exactly
-    if dict(zip(null.support, null.probs)) != expected:
+    if (law.support, law.counts) != (null.support, null.counts):
         raise CliError("oracle cross-check FAILED: closed form disagrees with enumeration")
-    print(f"oracle cross-check passed over {total} frequency vectors", file=sys.stderr)
+    print(f"oracle cross-check passed over {law.total} frequency vectors", file=sys.stderr)
     return 0
 
 
@@ -242,23 +242,27 @@ def _shipped_config(name: str) -> str | None:
 _CONFIG_KEYS = ("m", "n", "p", "alpha", "replicates", "seed", "null_draws", "workers", "runs")
 _RUN_KEYS = ("scenario", "c", "tests")
 _TEST_KEYS = ("test", "plan", "j", "alternative")
-# the keys whose values must be JSON integers; a bool is not one
-_INTEGER_KEYS = ("m", "n", "p", "replicates", "seed", "null_draws", "workers", "scenario")
+# the JSON types each key's value may take, and their description; a
+# bool is not a number
+_KEY_TYPES = {
+    **dict.fromkeys(
+        ("m", "n", "p", "replicates", "seed", "null_draws", "workers", "scenario"),
+        ((int,), "an integer"),
+    ),
+    **dict.fromkeys(("alpha", "c"), ((int, float), "a number")),
+    **dict.fromkeys(("test", "plan"), ((str,), "a string")),
+    "j": ((int, type(None)), "an integer or null"),
+    "alternative": ((str, type(None)), "a string or null"),
+}
 
 
 def _check_keys(entry: dict, known: tuple, where: str):
-    """Refuse a key outside ``known``, a non-integer value of an integer
-    key, a ``j`` that is neither an integer nor null, and an ``alpha``
-    or ``c`` that is not a JSON number (a bool is not one)."""
+    """Refuse a key outside ``known`` and a value of the wrong JSON type."""
     for key, value in entry.items():
         if key not in known:
             raise CliError(f"{where}: unknown key {key!r}; known: {' '.join(known)}")
-        if key in _INTEGER_KEYS and type(value) is not int:
-            raise CliError(f"{where}: {key!r} must be an integer, got {value!r}")
-        if key == "j" and value is not None and type(value) is not int:
-            raise CliError(f"{where}: 'j' must be an integer or null, got {value!r}")
-        if key in ("alpha", "c") and type(value) not in (int, float):
-            raise CliError(f"{where}: {key!r} must be a number, got {value!r}")
+        if key in _KEY_TYPES and type(value) not in _KEY_TYPES[key][0]:
+            raise CliError(f"{where}: {key!r} must be {_KEY_TYPES[key][1]}, got {value!r}")
 
 
 def _load_power_config(path: str) -> dict:
@@ -284,11 +288,19 @@ def _load_power_config(path: str) -> dict:
         raise CliError(f"{origin}: 'runs' must be a non-empty list of objects")
     _check_keys(cfg, _CONFIG_KEYS, f"{origin}: top level")
     for i, block in enumerate(runs):
-        _check_keys(block, _RUN_KEYS, f"{origin}: runs[{i}]")
-        if isinstance(block.get("tests"), list):
-            for k, t in enumerate(block["tests"]):
-                if isinstance(t, dict):
-                    _check_keys(t, _TEST_KEYS, f"{origin}: runs[{i}].tests[{k}]")
+        where = f"{origin}: runs[{i}]"
+        _check_keys(block, _RUN_KEYS, where)
+        if "tests" not in block:
+            raise CliError(f"{where}: missing required key 'tests'")
+        tests = block["tests"]
+        if tests != "ALL" and not (
+            isinstance(tests, list) and tests and all(isinstance(t, dict) for t in tests)
+        ):
+            raise CliError(f"{where}: 'tests' must be \"ALL\" or a non-empty list of objects")
+        for k, t in enumerate(tests if tests != "ALL" else ()):
+            _check_keys(t, _TEST_KEYS, f"{where}.tests[{k}]")
+            if "test" not in t:
+                raise CliError(f"{where}.tests[{k}]: missing required key 'test'")
     for key, least in (("replicates", 1), ("seed", 0), ("null_draws", 1), ("workers", 1)):
         if cfg.get(key, least) < least:
             raise CliError(f"{origin}: {key} must be >= {least}")
@@ -329,7 +341,7 @@ def _power_rows(cfg: dict, workers: int) -> list[dict]:
             if entries == "ALL":
                 entries = _ALL_TESTS
             tests = [TestConfig(**entry) for entry in entries]
-        except (KeyError, ValueError, TypeError) as exc:
+        except (ValueError, TypeError) as exc:
             raise CliError(f"bad run entry {block!r}: {exc}") from exc
         estimates = simulate.run_power_study(
             spec,

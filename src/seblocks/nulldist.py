@@ -257,8 +257,8 @@ def _reference_positions(counts: np.ndarray) -> np.ndarray:
 
 
 def _arrangement_chunks(m: int, n: int):
-    """Every frequency vector, in lexicographic order of the reference
-    positions, as (rows, n+1) count matrices of bounded size."""
+    """Every arrangement, in lexicographic order, as (rows, n) matrices
+    of ascending reference positions of bounded size."""
     _validate_sizes(m, n)
     total, limit = math.comb(m + n, n), enumeration_cap()
     if total > limit:
@@ -274,7 +274,7 @@ def _arrangement_chunks(m: int, n: int):
         )
         if not flat.size:
             return
-        yield _counts_from_bars(flat.reshape(-1, n), m + n)
+        yield flat.reshape(-1, n)
 
 
 def _sample_arrangements(m: int, n: int, n_draws: int, rng: np.random.Generator):
@@ -313,18 +313,28 @@ def _sample_arrangements(m: int, n: int, n_draws: int, rng: np.random.Generator)
         yield bars
 
 
-def _tally_arrangements(statistic, m: int, n: int) -> dict:
-    """Number of arrangements per value of ``statistic``, a map from an
-    (R, n+1) count matrix to R values (or R rows of values, tallied as
-    tuples), over all C(m+n, n) equally likely frequency vectors."""
-    tally: dict = {}
-    for counts in _arrangement_chunks(m, n):
-        values = statistic(counts)
-        values, freq = np.unique(values, axis=0 if values.ndim > 1 else None, return_counts=True)
-        for v, k in zip(values.tolist(), freq.tolist()):
-            v = tuple(v) if isinstance(v, list) else v
-            tally[v] = tally.get(v, 0) + k
-    return tally
+def _arrangement_law(statistic, m: int, n: int, method: str, n_draws: int, seed, name: str,
+                     atom=None) -> Pmf:
+    """Counted law of ``statistic``, a map from an (R, n) matrix of
+    reference positions to R values (or R rows of values, taken as
+    tuples): over all C(m+n, n) equally likely arrangements for
+    ``exact`` (a ``Pmf``), over ``n_draws`` seeded uniformly random ones
+    for ``monte_carlo`` (an ``EmpiricalNull``).  ``atom`` maps each
+    value to its atom, in the same order."""
+    if method == "exact":
+        chunks, total = _arrangement_chunks(m, n), math.comb(m + n, n)
+    else:
+        if n_draws < 1:
+            raise ValueError(f"n_draws must be >= 1, got {n_draws}")
+        chunks, total = _sample_arrangements(m, n, n_draws, np.random.default_rng(seed)), n_draws
+    # map() lets go of each chunk before it makes the next
+    values = np.concatenate(list(map(statistic, chunks)))
+    values, counts = np.unique(values, axis=0 if values.ndim > 1 else None, return_counts=True)
+    support = values.tolist() if values.ndim == 1 else map(tuple, values.tolist())
+    # rebinding frees the list before the law builds its prefix sums
+    support = tuple(support if atom is None else map(atom, support))
+    law = (support, tuple(counts.tolist()), total, m, n, name)
+    return Pmf(*law) if method == "exact" else EmpiricalNull(*law, seed)
 
 
 def enumerate_frequency_vectors(m: int, n: int) -> FrequencyEnumeration:
@@ -334,7 +344,9 @@ def enumerate_frequency_vectors(m: int, n: int) -> FrequencyEnumeration:
     layout of m stars and n bars gives r_i.
     """
     vectors = tuple(
-        tuple(row) for counts in _arrangement_chunks(m, n) for row in counts.tolist()
+        tuple(row)
+        for bars in _arrangement_chunks(m, n)
+        for row in _counts_from_bars(bars, m + n).tolist()
     )
     return FrequencyEnumeration(m, n, vectors)
 
@@ -486,25 +498,6 @@ def _wilcoxon_rank_sum_pmf(m: int, n: int) -> Pmf:
     return Pmf(support, counts, math.comb(m + n, n), m, n, "wilcoxon_rank_sum")
 
 
-def _tallied_pmf(tally: dict, m: int, n: int, statistic: str, atom=lambda v: v) -> Pmf:
-    return _exact_law(Pmf, ((atom(v), tally[v]) for v in sorted(tally)), m, n, statistic)
-
-
-def _sampled_null(
-    statistic, m: int, n: int, n_draws: int, seed, name: str, atom=None
-) -> EmpiricalNull:
-    """Counted law of ``statistic``, a map from an (R, n) matrix of
-    reference positions to R values, over ``n_draws`` seeded random
-    arrangements; ``atom`` maps each drawn value to its atom."""
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-    chunks = _sample_arrangements(m, n, n_draws, np.random.default_rng(seed))
-    # map() lets go of each chunk before it draws the next
-    values, counts = np.unique(np.concatenate(list(map(statistic, chunks))), return_counts=True)
-    support = tuple(values.tolist() if atom is None else map(atom, values.tolist()))
-    return EmpiricalNull(support, tuple(counts.tolist()), n_draws, m, n, name, seed)
-
-
 def _is_ranks(scores: np.ndarray) -> bool:
     """Whether the scores are the ranks 1..m+n (the counted null)."""
     return np.array_equal(scores, np.arange(1, scores.size + 1, dtype=float))
@@ -545,14 +538,11 @@ def linear_rank_null(
         raise ValueError("scores must be finite")
     method = method.lower()
 
-    if method == "exact":
-        if _is_ranks(a):
-            return _wilcoxon_rank_sum_pmf(m, n)
-        tally = _tally_arrangements(lambda c: _rank_sum_at(_reference_positions(c), a), m, n)
-        return _tallied_pmf(tally, m, n, "linear_rank")
-
-    if method == "monte_carlo":
-        return _sampled_null(lambda b: _rank_sum_at(b, a), m, n, n_draws, seed, "linear_rank")
+    if method == "exact" and _is_ranks(a):
+        return _wilcoxon_rank_sum_pmf(m, n)
+    if method in ("exact", "monte_carlo"):
+        return _arrangement_law(lambda b: _rank_sum_at(b, a), m, n, method, n_draws, seed,
+                                "linear_rank")
 
     if method == "normal":
         total = float(a.sum())
@@ -570,7 +560,11 @@ def linear_rank_null(
 
 def _dixon_rows(counts: np.ndarray, m: int, n: int) -> np.ndarray:
     """(m (n+1))^2 times the Dixon statistic of each frequency vector
-    (last axis): sum_i (m - (n+1) R_i)^2, an integer."""
+    (last axis): sum_i (m - (n+1) R_i)^2, an integer.  Its largest
+    value, m^2 n (n+1) (every point in one block), passes int64 near
+    m = n = 55,000; from there the sum is taken in Python integers."""
+    if m * m * n * (n + 1) > np.iinfo(np.int64).max:
+        counts = counts.astype(object)
     return ((m - (n + 1) * counts) ** 2).sum(axis=-1)
 
 
@@ -596,14 +590,10 @@ def dixon_c2_null(
     method = method.lower()
     scale = (m * (n + 1)) ** 2
 
-    if method == "exact":
-        tally = _tally_arrangements(lambda c: _dixon_rows(c, m, n), m, n)
-        return _tallied_pmf(tally, m, n, "dixon_c2", lambda s: Fraction(s, scale))
-
-    if method == "monte_carlo":
-        return _sampled_null(
+    if method in ("exact", "monte_carlo"):
+        return _arrangement_law(
             lambda b: _dixon_rows(_counts_from_bars(b, m + n), m, n),
-            m, n, n_draws, seed, "dixon_c2", lambda s: Fraction(s, scale),
+            m, n, method, n_draws, seed, "dixon_c2", lambda s: Fraction(s, scale),
         )
 
     raise ValueError(f"method must be exact or monte_carlo, got {method!r}")

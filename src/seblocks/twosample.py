@@ -277,6 +277,8 @@ _ALTERNATIVES = ("lower", "upper", "two-sided")
 
 
 def _check_alternative(alternative: str) -> str:
+    if not isinstance(alternative, str):
+        raise ValueError(f"alternative must be a string, got {alternative!r}")
     alt = alternative.lower().replace("_", "-")
     if alt == "two.sided":
         alt = "two-sided"
@@ -496,6 +498,8 @@ _TEST_ALIASES = {
 
 def canonical_test(name: str) -> str:
     """The test called ``name`` (any case, aliases resolved)."""
+    if not isinstance(name, str):
+        raise ValueError(f"test must be a string, got {name!r}")
     test = _TEST_ALIASES.get(name.lower(), name.lower())
     if test not in KNOWN_TESTS:
         raise ValueError(f"unknown test {name!r}; known: {KNOWN_TESTS}")

@@ -9,7 +9,7 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 # a stand-in for perfbench/run.py: logs its side and arguments, and
-# reports op_ms and rate from the side's file
+# reports op_ms, rate and its operation counts from the side's file
 FAKE_RUN = """import json, sys
 from pathlib import Path
 here = Path(__file__).resolve().parents[1]
@@ -17,7 +17,8 @@ with open(here.parent / "order.log", "a") as log:
     log.write(here.name + " " + " ".join(sys.argv[1:]) + "\\n")
 values = json.loads((here / "values.json").read_text())
 print(json.dumps({"perfbench": {}}))
-print(json.dumps({"correct": True, "attempted": 5, "failed": 0, "metrics": {
+print(json.dumps({"correct": values["correct"], "attempted": 5, "failed": values["failed"],
+                  "metrics": {
     "op_ms": {"value": values["op_ms"], "unit": "ms"},
     "rate": {"value": values["rate"], "unit": "1/s"}}}))
 """
@@ -31,11 +32,12 @@ BENCHMARK = {
 }
 
 
-def _checkout(root: Path, name: str, op_ms: float, rate: float) -> Path:
+def _checkout(root: Path, name: str, op_ms: float, rate: float, failed: int = 0) -> Path:
     side = root / name
     (side / "perfbench").mkdir(parents=True)
     (side / "perfbench" / "run.py").write_text(FAKE_RUN)
-    (side / "values.json").write_text(json.dumps({"op_ms": op_ms, "rate": rate}))
+    values = {"op_ms": op_ms, "rate": rate, "failed": failed, "correct": not failed}
+    (side / "values.json").write_text(json.dumps(values))
     (side / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
     return side
 
@@ -98,6 +100,31 @@ def test_a_median_worse_beyond_its_bound_is_regressed(tmp_path, capsys):
     assert lines[1].endswith("change wins 0/10 REGRESSED") and lines[1].startswith("seed 1 w1 rate")
     table = json.loads(out.read_text())["seeds"]["1"]["w2"]["metrics"]
     assert table["op_ms"]["regressed"] is True and table["rate"]["regressed"] is True
+
+
+def test_an_incorrect_run_or_a_larger_failed_share_is_flagged(tmp_path, capsys):
+    parent = _checkout(tmp_path, "parent", op_ms=2.0, rate=10.0, failed=1)
+    change = _checkout(tmp_path, "change", op_ms=2.0, rate=10.0, failed=2)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--seed", "2", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and all(line.endswith(" INCORRECT MORE FAILED") for line in lines)
+    entry = json.loads(out.read_text())["seeds"]["2"]["w1"]
+    # 1 and 2 failed of 5 operations in every run
+    assert entry["outcome"] == {
+        "parent": {"failed_share": 0.2, "all_correct": False},
+        "change": {"failed_share": 0.4, "all_correct": False},
+    }
+
+    # the parent failing more flags nothing; every run of the change is correct
+    argv = ["--parent", str(change), "--change", str(_checkout(tmp_path, "clean", 2.0, 10.0)),
+            "--seed", "2", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    assert all(line.endswith("change wins 0/10") for line in capsys.readouterr().out.splitlines())
+    assert json.loads(out.read_text())["seeds"]["2"]["w2"]["outcome"]["change"] == {
+        "failed_share": 0.0, "all_correct": True,
+    }
 
 
 def _git(repo: Path, *args: str):

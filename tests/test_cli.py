@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from seblocks import cli, simulate, twosample
+from seblocks import cli, nulldist, simulate, twosample
 from seblocks.partition import (
     PLAN_NAMES, Sample, block_frequencies, canonical_plan, fit_partition, make_plan,
 )
@@ -194,6 +194,24 @@ class TestTestCommand:
         )
 
 
+    def test_a_boundary_tie_warns_and_a_normal_null_reports_its_moments(self, tmp_path, capsys):
+        x = write_csv(tmp_path / "x.csv", [[0.5], [1.5], [2.0], [3.5]])
+        y = write_csv(tmp_path / "y.csv", [[1.0], [2.0], [3.0]])
+        argv = ["test", "--x", x, "--y", y, "--plan", "univariate", "--method", "normal"]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == (
+            "warning: 1 tested point(s) tie a partition threshold; "
+            "counted by the half-open convention\n"
+        )
+        payload = json.loads(out)
+        assert payload["statistic"] == 15 and payload["method"] == "normal"
+        # E[T] = 4 * 28 / 7 and Var[T] = 4 * 3 * (7 * 140 - 28^2) / (7^2 * 6)
+        assert (payload["null"], payload["null_mean"], payload["null_variance"]) == (
+            "normal", 16.0, 8.0
+        )
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv, message", [
         (["test", "--x", "x.csv", "--y", "y.csv", "--method", "bogus"],
@@ -263,6 +281,21 @@ class TestDistCommand:
         ])
         assert code == 1
         assert "--oracle needs an exact pmf" in capsys.readouterr().err
+
+    def test_oracle_fails_on_a_closed_form_with_shifted_counts(self, monkeypatch, capsys):
+        right = nulldist.empty_block_pmf
+
+        def shifted(m, n):
+            law = right(m, n)
+            counts = (law.counts[0] + 1, law.counts[1] - 1, *law.counts[2:])
+            return nulldist.Pmf(law.support, counts, law.total, m, n, law.statistic)
+
+        monkeypatch.setattr(nulldist, "empty_block_pmf", shifted)
+        argv = ["dist", "--statistic", "empty_block", "--m", "4", "--n", "3", "--oracle"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: oracle cross-check FAILED: closed form disagrees with enumeration\n"
+        )
 
     def test_oracle_all_statistics(self, capsys):
         for stat in ("empty_block", "maximal_block", "runs", "interior_exterior", "dixon_c2", "linear_rank"):
@@ -435,6 +468,22 @@ class TestPowerCommand:
          "top level: 'alpha' must be a number, got '0.05'"),
         ('{"replicates": 2, "seed": 1, "runs": [{"c": "0", "tests": "ALL"}]}',
          "runs[0]: 'c' must be a number, got '0'"),
+        ('{"replicates": 2, "seed": 1, "runs": [{"scenario": 0}]}',
+         "runs[0]: missing required key 'tests'"),
+        ('{"replicates": 2, "seed": 1, "runs": [{"tests": "all"}]}',
+         "runs[0]: 'tests' must be \"ALL\" or a non-empty list of objects"),
+        ('{"replicates": 2, "seed": 1, "runs": [{"tests": [5]}]}',
+         "runs[0]: 'tests' must be \"ALL\" or a non-empty list of objects"),
+        ('{"replicates": 2, "seed": 1, "runs": [{"tests": [{"test": 5}]}]}',
+         "runs[0].tests[0]: 'test' must be a string, got 5"),
+        ('{"replicates": 2, "seed": 1, "runs": [{"tests": [{"test": null}]}]}',
+         "runs[0].tests[0]: 'test' must be a string, got None"),
+        ('{"replicates": 2, "seed": 1, "runs": [{"tests": [{"plan": "spiral"}]}]}',
+         "runs[0].tests[0]: missing required key 'test'"),
+        ('{"replicates": 2, "seed": 1, "runs": [{"tests": [{"test": "rs", "plan": 5}]}]}',
+         "runs[0].tests[0]: 'plan' must be a string, got 5"),
+        ('{"replicates": 2, "seed": 1, "runs": [{"tests": [{"test": "rs", "alternative": 3}]}]}',
+         "runs[0].tests[0]: 'alternative' must be a string or null, got 3"),
         ('{"replicates": 2, "seed": -1, "runs": [{"tests": "ALL"}]}', "seed must be >= 0"),
         ('{"replicates": 2, "seed": 1, "null_draws": 0, "runs": [{"tests": "ALL"}]}',
          "null_draws must be >= 1"),

@@ -25,7 +25,7 @@ from seblocks.nulldist import (
     runs_pmf,
 )
 from seblocks.partition import BlockFrequencies
-from seblocks.twosample import linear_rank_test, make_scores
+from seblocks.twosample import dixon_c2_test, linear_rank_test, make_scores
 
 HALF = Fraction(1, 2)
 
@@ -334,6 +334,45 @@ class TestDixon:
             mc_tail = mc.p_upper(float(cut.numerator / cut.denominator))
             se = math.sqrt(exact_tail * (1 - exact_tail) / 100_000)
             assert abs(mc_tail - exact_tail) < 3 * se
+
+    def test_a_statistic_past_int64_is_summed_exactly(self):
+        # m^2 n (n+1) passes 2^63 - 1 near m = n = 55,000
+        m = n = 60_000
+        freqs = BlockFrequencies((m,) + (0,) * n, m, n)
+        result = dixon_c2_test(freqs, method="monte_carlo", n_draws=5, seed=1)
+        assert result.statistic == dixon_statistic(freqs.counts, m, n) == Fraction(n, n + 1)
+        null = result.null_reference
+        assert all(0 < v < result.statistic for v in null.support)
+        assert null.p_upper(result.statistic) == 0.0
+
+
+# the laws the counting recursion does not give: every other score family
+# and Dixon, at every m, n <= 8 and three sizes beyond
+EXACT_FAMILIES = ("van_der_waerden", "terry_hoeffding", "mood", "klotz", "siegel_tukey", "dixon_c2")
+EXACT_GRID = (*itertools.product(range(1, 9), repeat=2), (7, 9), (10, 8), (12, 6))
+# the first 16 hex digits of the SHA-256 of repr((m, n, support, counts,
+# total)) of each exact law over EXACT_GRID in order, recorded with the
+# enumeration that tallied count matrices into a dict
+EXACT_PINS = {
+    "van_der_waerden": "4aa8772cf644b0f0",
+    "terry_hoeffding": "4fe4fb2ba1f81005",
+    "mood": "6a1ec41b3090df5e",
+    "klotz": "51b41b9df0d17262",
+    "siegel_tukey": "2ff0d6c63cfc2f95",
+    "dixon_c2": "5e2e5dee4848569e",
+}
+
+
+@pytest.mark.parametrize("family", EXACT_FAMILIES)
+def test_every_enumerated_exact_law_is_pinned(family):
+    digest = hashlib.sha256()
+    for m, n in EXACT_GRID:
+        if family == "dixon_c2":
+            law = dixon_c2_null(m, n, "exact")
+        else:
+            law = linear_rank_null(m, n, make_scores(family, m, n).scores, "exact")
+        digest.update(repr((m, n, law.support, law.counts, law.total)).encode())
+    assert digest.hexdigest()[:16] == EXACT_PINS[family]
 
 
 MC_FAMILIES = (

@@ -233,6 +233,15 @@ class TestPowerStudy:
         with pytest.raises(ValueError):
             TestConfig("energy")
 
+    @pytest.mark.parametrize("args, message", [
+        ((5,), "test must be a string, got 5"),
+        ((None,), "test must be a string, got None"),
+        (("wilcoxon", "spiral", None, 3), "alternative must be a string, got 3"),
+    ])
+    def test_a_name_that_is_not_a_string_is_refused(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            TestConfig(*args)
+
     def test_config_aliases(self):
         assert TestConfig("RS").test == "wilcoxon"
         assert TestConfig("eb").test == "empty_block"

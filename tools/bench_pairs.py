@@ -13,10 +13,14 @@ side's runs, median and quartiles, the number of pairs each side won
 median is worse than the parent's by more than the metric's ``bound``
 times the parent's median.  It is rewritten after every workload, and
 a one-line summary per workload and metric goes to stdout, ending in
-``REGRESSED`` for such a metric.  It
-also names the code of each side: the checkout's HEAD and, when the
-checkout differs from it, the SHA-256 of ``git diff HEAD --binary``
-followed by each untracked file's path and bytes.
+``REGRESSED`` for such a metric.  Per seed and workload it also holds
+each side's ``outcome``: the share of its operations that failed, over
+all its runs, and whether every run was correct; the summary lines end
+in ``INCORRECT`` when a run of the change was not correct, and in
+``MORE FAILED`` when the change failed a larger share.  It also names
+the code of each side: the checkout's HEAD and, when the checkout
+differs from it, the SHA-256 of ``git diff HEAD --binary`` followed by
+each untracked file's path and bytes.
 """
 
 from __future__ import annotations
@@ -72,6 +76,15 @@ def compare(parent_runs: list, change_runs: list, metrics: dict) -> dict:
     return out
 
 
+def outcome(runs: list) -> dict:
+    """One side's failed share of the operations of its runs, and
+    whether every run was correct."""
+    attempted = sum(r["attempted"] for r in runs)
+    failed = sum(r["failed"] for r in runs)
+    return {"failed_share": failed / attempted if attempted else 0.0,
+            "all_correct": all(r["correct"] for r in runs)}
+
+
 def _git(checkout: Path, *args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=checkout, capture_output=True, check=True).stdout
 
@@ -124,10 +137,15 @@ def main(argv=None) -> int:
             for name in order:
                 runs[name].append(run_bench(sides[name], workload, seed, seconds))
         table = compare(runs["parent"], runs["change"], metrics)
+        outcomes = {name: outcome(rs) for name, rs in runs.items()}
+        flags = " INCORRECT" * (not outcomes["change"]["all_correct"]) + " MORE FAILED" * (
+            outcomes["change"]["failed_share"] > outcomes["parent"]["failed_share"]
+        )
         result["seeds"].setdefault(str(seed), {})[workload] = {
             "correct": {name: [r["correct"] for r in rs] for name, rs in runs.items()},
             "failed": {name: [r["failed"] for r in rs] for name, rs in runs.items()},
             "attempted": {name: [r["attempted"] for r in rs] for name, rs in runs.items()},
+            "outcome": outcomes,
             "metrics": table,
         }
         for name, row in table.items():
@@ -135,7 +153,8 @@ def main(argv=None) -> int:
             print(f"seed {seed} {workload} {name}: parent {before['median']:.6g} "
                   f"[{before['q1']:.6g}, {before['q3']:.6g}] -> change {after['median']:.6g} "
                   f"[{after['q1']:.6g}, {after['q3']:.6g}] {row['unit']}; change wins "
-                  f"{row['change_wins']}/{PAIRS}{' REGRESSED' if row['regressed'] else ''}", flush=True)
+                  f"{row['change_wins']}/{PAIRS}{' REGRESSED' if row['regressed'] else ''}{flags}",
+                  flush=True)
         args.out.write_text(json.dumps(result, indent=2) + "\n")
     return 0
 
