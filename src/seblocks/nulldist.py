@@ -490,7 +490,7 @@ def _wilcoxon_rank_sum_pmf(m: int, n: int) -> Pmf:
         coeff[big + i : size] -= coeff[: max(0, size - big - i)]
         rows = -(-size // i)
         view = coeff[: rows * i].reshape(rows, i)
-        view[...] = np.add.accumulate(view, axis=0)
+        np.add.accumulate(view, axis=0, out=view)
     lower = coeff[:size].tolist()
     counts = tuple(lower + lower[: top + 1 - size][::-1])
     shift = m * (m + 1) // 2
@@ -524,10 +524,11 @@ def linear_rank_null(
     comparison-sample positions of the pooled arrangement).
 
     ``exact`` returns the statistic's distribution over all C(m+n, n)
-    equally likely arrangements: consecutive-integer scores go through
-    the counting recursion at any size, other scores are enumerated
-    under the cap.  ``monte_carlo`` returns the counted law of seeded draws;
-    ``normal`` returns the moment pair E[T] = m * sum(a) / (m+n) and
+    equally likely arrangements: the scores 1..m+n in any order go
+    through the counting recursion at any size, other scores are
+    enumerated under the cap.  ``monte_carlo`` returns the counted law
+    of seeded draws; ``normal`` returns the moment pair
+    E[T] = m * sum(a) / (m+n) and
     Var[T] = mn [(m+n) sum(a^2) - (sum a)^2] / [(m+n)^2 (m+n-1)].
     """
     _validate_sizes(m, n)
@@ -540,6 +541,10 @@ def linear_rank_null(
 
     if method == "exact" and _is_ranks(a):
         return _wilcoxon_rank_sum_pmf(m, n)
+    if method == "exact" and _is_ranks(np.sort(a)):
+        # a permutation of the ranks (Siegel-Tukey) has the rank-sum law
+        law = _wilcoxon_rank_sum_pmf(m, n)
+        return Pmf(tuple(map(float, law.support)), law.counts, law.total, m, n, "linear_rank")
     if method in ("exact", "monte_carlo"):
         return _arrangement_law(lambda b: _rank_sum_at(b, a), m, n, method, n_draws, seed,
                                 "linear_rank")

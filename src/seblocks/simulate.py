@@ -8,7 +8,6 @@ seeded separately from the base seed and are shared across replicates.
 
 from __future__ import annotations
 
-import bisect
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -508,9 +507,10 @@ def frequency_uniformity_check(
     Each replicate draws ``generator(m, p, rng)`` then ``generator(n,
     p, rng)`` from one stream, and a pair whose reference sample has
     tied values is replaced by the next pair of the stream.  Pairs are
-    stacked and fitted and counted a batch at a time; the tally equals
-    that of one pair at a time.  Raises ``TieError`` when more than 100
-    reference samples in a row tie.
+    stacked and fitted and counted a batch at a time, each vector tallied
+    by its lexicographic rank; the tally equals that of one pair at a
+    time.  Raises ``TieError`` when more than 100 reference samples in a
+    row tie.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
@@ -522,6 +522,7 @@ def frequency_uniformity_check(
     draw_pairs = _pair_drawer(generator, m, n, p)
     plan = _oriented_plan(canonical_plan(plan_label), p, n, False)
     vectors = _all_vectors(m, n)  # lexicographic; the report's keys
+    rank = _lexicographic_rank(m, n)
     rng = np.random.default_rng(seed)
     counts: dict[tuple, int] = {}
     remaining, tied_run = replicates, 0
@@ -540,11 +541,33 @@ def frequency_uniformity_check(
                 "the generator must draw from a continuous law"
             )
         tied_run = int(runs[-1])
-        for row, k in zip(*np.unique(rows, axis=0, return_counts=True)):
-            vec = vectors[bisect.bisect_left(vectors, tuple(row.tolist()))]
-            counts[vec] = counts.get(vec, 0) + int(k)
+        for i, k in zip(*(a.tolist() for a in np.unique(rank(rows), return_counts=True))):
+            counts[vectors[i]] = counts.get(vectors[i], 0) + k
         remaining -= rows.shape[0]
     return UniformityReport(m, n, replicates, counts, n_possible)
+
+
+def _lexicographic_rank(m: int, n: int) -> Callable:
+    """``rank(rows)``: the position of each frequency vector (a row of
+    n+1 counts summing to m) in the lexicographic order of all
+    C(m+n, n), as int64.
+
+    With S_k = r_1 + ... + r_{k+1}, the vectors that agree with a vector
+    in r_1..r_k and exceed it in r_{k+1} number C(n-1-k+m-S_k, n-k), so
+    its rank is C(m+n, n) - 1 minus the sum of those n binomials (Knuth,
+    TAOCP 4A, 7.2.1.3).  They are looked up in one (n, m+1) table, none
+    of whose entries passes C(m+n, n).
+    """
+    weights = np.array(
+        [[math.comb(n - 1 - k + m - s, n - k) for s in range(m + 1)] for k in range(n)],
+        dtype=np.int64,
+    )
+    parts, last = np.arange(n), math.comb(m + n, n) - 1
+
+    def rank(rows):
+        return last - weights[parts, np.cumsum(rows[:, :n], axis=1)].sum(axis=1)
+
+    return rank
 
 
 def _pair_drawer(generator: str | Callable, m: int, n: int, p: int) -> Callable:

@@ -17,10 +17,12 @@ with open(here.parent / "order.log", "a") as log:
     log.write(here.name + " " + " ".join(sys.argv[1:]) + "\\n")
 values = json.loads((here / "values.json").read_text())
 print(json.dumps({"perfbench": {}}))
+metrics = {"op_ms": {"value": values["op_ms"], "unit": "ms"},
+           "rate": {"value": values["rate"], "unit": "1/s"}}
+if sys.argv[-1] == "1":  # --trace 1
+    metrics = {"trace.coverage_frac": {"value": 0.95, "unit": "frac"}}
 print(json.dumps({"correct": values["correct"], "attempted": 5, "failed": values["failed"],
-                  "metrics": {
-    "op_ms": {"value": values["op_ms"], "unit": "ms"},
-    "rate": {"value": values["rate"], "unit": "1/s"}}}))
+                  "metrics": metrics}))
 """
 BENCHMARK = {
     "run_seconds": 3,
@@ -49,10 +51,17 @@ def test_pairs_alternate_and_count_wins_per_metric(tmp_path, capsys):
     argv = ["--parent", str(parent), "--change", str(change), "--seed", "4", "--out", str(out)]
     assert bench_pairs.main(argv) == 0
     runs = (tmp_path / "order.log").read_text().splitlines()
-    assert len(runs) == 2 * 2 * 10
+    # per workload, 10 pairs and then one traced run of each side
+    assert len(runs) == 2 * 2 * (10 + 1)
     assert [line.split()[0] for line in runs[:4]] == ["parent", "change", "change", "parent"]
     assert runs[0].split()[1:] == ["--workload", "w1", "--seed", "4", "--seconds", "3", "--trace", "0"]
+    assert [line.split()[0] for line in runs[20:22]] == ["parent", "change"]
+    assert runs[21].split()[1:] == ["--workload", "w1", "--seed", "4", "--seconds", "3", "--trace", "1"]
     result = json.loads(out.read_text())
+    assert result["seeds"]["4"]["w1"]["traced"] == {
+        "parent": {"correct": True, "coverage_frac": 0.95},
+        "change": {"correct": True, "coverage_frac": 0.95},
+    }
     assert set(result["seeds"]["4"]) == {"w1", "w2"}
     table = result["seeds"]["4"]["w2"]["metrics"]
     assert table["op_ms"]["change_wins"] == 10 and table["op_ms"]["parent_wins"] == 0
@@ -125,6 +134,39 @@ def test_an_incorrect_run_or_a_larger_failed_share_is_flagged(tmp_path, capsys):
     assert json.loads(out.read_text())["seeds"]["2"]["w2"]["outcome"]["change"] == {
         "failed_share": 0.0, "all_correct": True,
     }
+
+
+def test_a_traced_run_of_the_change_that_fails_is_incorrect(tmp_path, capsys, monkeypatch):
+    # every untraced run is correct; only the change's traced run fails,
+    # as a coverage gate below its bound would
+    def run_bench(checkout, workload, seed, seconds, trace=0):
+        correct = not (trace and checkout.name == "change")
+        metrics = {"op_ms": {"value": 2.0, "unit": "ms"}, "rate": {"value": 10.0, "unit": "1/s"}}
+        if trace:
+            metrics = {"trace.coverage_frac": {"value": 0.95 if correct else 0.88, "unit": "frac"}}
+        return {"correct": correct, "attempted": 5, "failed": int(not correct), "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    parent = _checkout(tmp_path, "parent", op_ms=2.0, rate=10.0)
+    change = _checkout(tmp_path, "change", op_ms=2.0, rate=10.0)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--seed", "3", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and all(line.endswith("change wins 0/10 INCORRECT") for line in lines)
+    entry = json.loads(out.read_text())["seeds"]["3"]["w2"]
+    assert entry["traced"] == {
+        "parent": {"correct": True, "coverage_frac": 0.95},
+        "change": {"correct": False, "coverage_frac": 0.88},
+    }
+    # the traced runs stay out of the untraced outcome and metrics
+    assert entry["outcome"]["change"] == {"failed_share": 0.0, "all_correct": True}
+    assert entry["metrics"]["op_ms"]["change"]["runs"] == [2.0] * 10
+
+    # a parent whose traced run fails flags nothing
+    argv = ["--parent", str(change), "--change", str(parent), "--seed", "3", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    assert all(line.endswith("change wins 0/10") for line in capsys.readouterr().out.splitlines())
 
 
 def _git(repo: Path, *args: str):

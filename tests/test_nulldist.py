@@ -242,6 +242,27 @@ class TestLinearRankNull:
         assert sum(pmf.probs, Fraction(0)) == 1
         assert pmf.support[0] == 60 * 61 // 2
 
+    @pytest.mark.parametrize("m, n", [(3, 4), (7, 9), (12, 6)])
+    def test_siegel_tukey_counted_equals_enumerated(self, m, n):
+        scores = make_scores("siegel_tukey", m, n).scores
+        counted = linear_rank_null(m, n, scores, "exact")
+        enumerated = nulldist._arrangement_law(
+            lambda bars: nulldist._rank_sum_at(bars, scores), m, n, "exact", 1, 0, "linear_rank"
+        )
+        assert (counted.support, counted.counts, counted.total, counted.statistic) == (
+            enumerated.support, enumerated.counts, enumerated.total, enumerated.statistic
+        )
+        assert all(type(v) is float for v in counted.support)
+
+    def test_siegel_tukey_is_exact_above_the_cap(self, monkeypatch):
+        # C(16, 8) = 12,870 arrangements, far past a cap of 10
+        monkeypatch.setenv("SEBLOCKS_ENUM_CAP", "10")
+        law = linear_rank_null(8, 8, make_scores("siegel_tukey", 8, 8).scores, "exact")
+        ranks = linear_rank_null(8, 8, np.arange(1.0, 17.0), "exact")
+        assert type(law) is Pmf and law.statistic == "linear_rank"
+        assert law.support == tuple(map(float, ranks.support))
+        assert law.counts == ranks.counts and law.total == math.comb(16, 8)
+
     def test_general_scores_enumerated(self):
         rng = np.random.default_rng(0)
         scores = rng.standard_normal(7)

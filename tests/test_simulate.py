@@ -489,6 +489,28 @@ class TestBatchedUniformity:
             with pytest.raises(ValueError, match=match):
                 frequency_uniformity_check(3, 3, p, label, 10)
 
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 7), (7, 1), (2, 5), (5, 5), (12, 1), (3, 9)])
+    def test_the_rank_is_the_position_in_the_enumeration(self, m, n):
+        vectors = enumerate_frequency_vectors(m, n).vectors
+        ranks = simulate._lexicographic_rank(m, n)(np.array(vectors))
+        assert ranks.dtype == np.int64
+        assert ranks.tolist() == list(range(len(vectors)))
+
+    def test_a_batch_of_only_tied_pairs_tallies_nothing(self):
+        # three pairs per kernel call: the first 30 reference samples tie,
+        # so the first ten calls count no pair
+        calls = []
+
+        def draw(k, p, rng):
+            calls.append(k)
+            tied = len(calls) % 2 == 0 and len(calls) <= 60
+            return np.zeros((k, p)) if tied else rng.standard_normal((k, p))
+
+        report = frequency_uniformity_check(3, 3, 2, "spiral", 3, seed=2, generator=draw)
+        calls.clear()
+        assert report.counts == _tally_one_pair_at_a_time(3, 3, 2, "spiral", 3, 2, draw)
+        assert sum(report.counts.values()) == 3
+
     def test_vectors_are_sorted_for_the_key_lookup(self):
         for m, n in [(3, 3), (1, 4), (5, 2)]:
             vectors = simulate._all_vectors(m, n)

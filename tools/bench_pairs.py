@@ -17,7 +17,12 @@ a one-line summary per workload and metric goes to stdout, ending in
 each side's ``outcome``: the share of its operations that failed, over
 all its runs, and whether every run was correct; the summary lines end
 in ``INCORRECT`` when a run of the change was not correct, and in
-``MORE FAILED`` when the change failed a larger share.  It also names
+``MORE FAILED`` when the change failed a larger share.  After the
+pairs, each side makes one ``--trace 1`` run per seed and workload,
+recorded as ``traced``: whether it was correct (its checks include the
+coverage gate where a workload has one) and its ``trace.coverage_frac``;
+a traced run of the change that is not correct also ends the summary
+lines in ``INCORRECT``.  It also names
 the code of each side: the checkout's HEAD and, when the checkout
 differs from it, the SHA-256 of ``git diff HEAD --binary`` followed by
 each untracked file's path and bytes.
@@ -36,10 +41,10 @@ from pathlib import Path
 PAIRS = 10
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """The result line of one ``perfbench/run.py`` call in ``checkout``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -136,9 +141,15 @@ def main(argv=None) -> int:
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for name in order:
                 runs[name].append(run_bench(sides[name], workload, seed, seconds))
+        traced = {}
+        for name in ("parent", "change"):
+            r = run_bench(sides[name], workload, seed, seconds, trace=1)
+            traced[name] = {"correct": r["correct"],
+                            "coverage_frac": r["metrics"]["trace.coverage_frac"]["value"]}
         table = compare(runs["parent"], runs["change"], metrics)
         outcomes = {name: outcome(rs) for name, rs in runs.items()}
-        flags = " INCORRECT" * (not outcomes["change"]["all_correct"]) + " MORE FAILED" * (
+        incorrect = not (outcomes["change"]["all_correct"] and traced["change"]["correct"])
+        flags = " INCORRECT" * incorrect + " MORE FAILED" * (
             outcomes["change"]["failed_share"] > outcomes["parent"]["failed_share"]
         )
         result["seeds"].setdefault(str(seed), {})[workload] = {
@@ -146,6 +157,7 @@ def main(argv=None) -> int:
             "failed": {name: [r["failed"] for r in rs] for name, rs in runs.items()},
             "attempted": {name: [r["attempted"] for r in rs] for name, rs in runs.items()},
             "outcome": outcomes,
+            "traced": traced,
             "metrics": table,
         }
         for name, row in table.items():
