@@ -255,7 +255,42 @@ def _draw_replicate(spec: ScenarioSpec, base_seed: int, r: int, attempt: int, k_
         x, y = y, x
     perm = rng.permutation(spec.p)
     descending = rng.random() < 0.5
-    return x[:, perm], y[:, perm], descending, rng.random(k_tests).tolist()
+    return x[:, perm], y[:, perm], descending, rng.random(k_tests)
+
+
+@dataclass(frozen=True)
+class _ChunkRule:
+    """A ``RejectionRule`` in the raw domain of its statistic, applied
+    to a chunk of replicates at once.
+
+    ``RejectionRule.decide`` rejects a statistic beyond a critical atom,
+    and one on it when the uniform is below float(gamma), the two gammas
+    summed where the atoms coincide.  So a raw value v rejects when
+    v < lower or v > upper, or when v equals an atom and its uniform is
+    below that atom's gamma.  A tail the rule lacks is None."""
+
+    lower: object
+    upper: object
+    lower_gamma: float
+    upper_gamma: float
+
+    @classmethod
+    def of(cls, rule: RejectionRule, raw_atom: Callable) -> "_ChunkRule":
+        """``rule`` with its atoms mapped into the raw domain by ``raw_atom``."""
+        lo, hi = rule.lower_critical, rule.upper_critical
+        gammas = float(rule.lower_gamma), float(rule.upper_gamma)
+        if lo is not None and lo == hi:
+            gammas = (float(rule.lower_gamma + rule.upper_gamma),) * 2
+        return cls(*(None if a is None else raw_atom(a) for a in (lo, hi)), *gammas)
+
+    def rejects(self, values: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """Whether each raw value rejects with the uniform beside it."""
+        out = np.zeros(uniforms.shape, dtype=bool)
+        if self.lower is not None:
+            out |= (values < self.lower) | (values == self.lower) & (uniforms < self.lower_gamma)
+        if self.upper is not None:
+            out |= (values > self.upper) | (values == self.upper) & (uniforms < self.upper_gamma)
+        return out
 
 
 @dataclass(frozen=True)
@@ -263,8 +298,9 @@ class _StudyContext:
     spec: ScenarioSpec
     tests: tuple[TestConfig, ...]
     plan_names: tuple[str, ...]
-    # per reference size: the distinct bound statistics, and per column
-    # (its statistic's index, its plan's row, its rejection rule)
+    # per reference size: the distinct statistics, each bound to raw
+    # values, and per column (its statistic's index, its plan's row, its
+    # rejection rule in the raw domain)
     statistics: dict
     columns: dict
     base_seed: int
@@ -278,7 +314,7 @@ _STATISTIC_CHUNK = 256
 def _run_replicates(ctx: _StudyContext, start: int, stop: int) -> tuple[np.ndarray, int]:
     spec = ctx.spec
     k_tests, k_plans = len(ctx.tests), len(ctx.plan_names)
-    rejections = [0] * k_tests
+    rejections = np.zeros(k_tests, dtype=np.int64)
     retries = 0
     # per reference size: the block counts of each plan, replicate after
     # replicate, and each replicate's decision uniforms
@@ -288,12 +324,12 @@ def _run_replicates(ctx: _StudyContext, start: int, stop: int) -> tuple[np.ndarr
         rows, uniforms = pending[n]
         if not uniforms:
             return
-        counts = np.stack(rows)
-        values = [statistic(counts) for statistic in ctx.statistics[n]]
-        for j, u in enumerate(uniforms):
-            for i, (s, row, rule) in enumerate(ctx.columns[n]):
-                if rule.decide(values[s][j * k_plans + row], u[i]):
-                    rejections[i] += 1
+        # (replicates, plans) raw values per statistic, (replicates,
+        # tests) uniforms: one comparison per column decides the chunk
+        counts, u = np.stack(rows), np.stack(uniforms)
+        values = [raw(counts).reshape(len(uniforms), k_plans) for raw in ctx.statistics[n]]
+        for i, (s, row, rule) in enumerate(ctx.columns[n]):
+            rejections[i] += np.count_nonzero(rule.rejects(values[s][:, row], u[:, i]))
         rows.clear()
         uniforms.clear()
 
@@ -321,7 +357,7 @@ def _run_replicates(ctx: _StudyContext, start: int, stop: int) -> tuple[np.ndarr
             )
     for n in pending:
         decide_pending(n)
-    return np.array(rejections, dtype=np.int64), retries
+    return rejections, retries
 
 
 def run_power_study(
@@ -346,6 +382,13 @@ def run_power_study(
     the cut schedules.  Replicates that generate tied values are redrawn
     from a fresh substream and counted in ``tie_retries``; more than 100
     in a row raise ``TieError``.
+
+    Block counts and decision uniforms pend in chunks of up to 256
+    replicates per reference size.  Each distinct statistic is evaluated
+    once on a chunk's stacked counts, in its raw domain, and each column
+    decides the whole chunk with array comparisons against its rule's
+    critical atoms mapped into that domain; these are the comparisons
+    ``RejectionRule.decide`` makes, so every decision is the same.
     """
     if n_replicates < 1:
         raise ValueError(f"n_replicates must be >= 1, got {n_replicates}")
@@ -360,8 +403,8 @@ def run_power_study(
     plan_names = tuple(sorted({cfg.fitted_plan for cfg in tests}))
 
     # per reference size (one when m = n), each distinct statistic bound
-    # once with its sizes, parameters and scores, and evaluated on every
-    # plan's row
+    # once to raw values with its sizes, parameters and scores, and
+    # evaluated on every plan's row; each rule's atoms mapped to raw values
     statistics, columns = {}, {}
     for m_eff, n_eff in dict.fromkeys([(spec.m, spec.n), (spec.n, spec.m)]):
         index, bound, cols = {}, [], []
@@ -375,8 +418,9 @@ def run_power_study(
             )
             if (cfg.test, cfg.j) not in index:
                 index[(cfg.test, cfg.j)] = len(bound)
-                bound.append(entry.bind(m_eff, n_eff, params))
-            cols.append((index[(cfg.test, cfg.j)], plan_names.index(cfg.fitted_plan), rule))
+                bound.append(entry.bind_raw(m_eff, n_eff, params))
+            raw_rule = _ChunkRule.of(rule, lambda a: entry.raw_atom(a, m_eff, n_eff, params))
+            cols.append((index[(cfg.test, cfg.j)], plan_names.index(cfg.fitted_plan), raw_rule))
         statistics[n_eff], columns[n_eff] = tuple(bound), tuple(cols)
 
     ctx = _StudyContext(spec, tests, plan_names, statistics, columns, base_seed)

@@ -360,6 +360,12 @@ def _dixon_value(v, m: int, n: int, params):
     return Fraction(int(v), (m * (n + 1)) ** 2)
 
 
+def _dixon_raw_atom(atom: Fraction, m: int, n: int, params) -> int:
+    """The integer ``_dixon_rows`` value of the atom s / (m (n+1))^2,
+    whose reduced denominator divides the scale."""
+    return atom.numerator * ((m * (n + 1)) ** 2 // atom.denominator)
+
+
 def _block_runs(c, m: int, n: int, params):
     """Runs of the pooled arrangement: one per nonempty block, plus the
     runs of reference points, which nonempty inner blocks separate."""
@@ -379,9 +385,12 @@ class BlockStatistic:
     it needs.
 
     ``statistic(counts, m, n, params)`` maps frequency vectors (the last
-    axis of ``counts``, one row or an (R, n+1) matrix) to values;
-    ``value(v, m, n, params)`` turns one value into the reported
-    statistic, typed like the atoms of the null.  ``null(m, n, params,
+    axis of ``counts``, one row or an (R, n+1) matrix) to raw values;
+    ``value(v, m, n, params)`` turns one raw value into the reported
+    statistic, typed like the atoms of the null, and ``raw_atom(atom,
+    m, n, params)`` maps an atom of the null back to the raw value it
+    stands for, so raw values compare with atoms exactly as the
+    reported statistics do.  ``null(m, n, params,
     method=, n_draws=, seed=)`` builds the null reference; entries
     without ``methods`` ignore the keywords, their closed forms are
     always exact.  ``params(m, n, j, scores)`` applies the parameter
@@ -396,6 +405,7 @@ class BlockStatistic:
     alternative: str | None
     params: Callable = _no_params
     value: Callable = lambda v, m, n, params: int(v)
+    raw_atom: Callable = lambda atom, m, n, params: atom
     methods: bool = False
 
     def describe(self, params) -> tuple[str, dict]:
@@ -405,16 +415,18 @@ class BlockStatistic:
         return (self.name, {}) if params is None else (f"{self.name}(j={params})", {"j": params})
 
     def observe(self, m: int, n: int, params, counts: np.ndarray):
-        """The reported statistic of one frequency vector, or the list
-        of them for the rows of an (R, n+1) matrix."""
-        v = self.statistic(counts, m, n, params)
-        if counts.ndim == 1:
-            return self.value(v, m, n, params)
-        return [self.value(row, m, n, params) for row in v.tolist()]
+        """The reported statistic of one frequency vector."""
+        return self.value(self.raw(m, n, params, counts), m, n, params)
 
-    def bind(self, m: int, n: int, params) -> Callable:
-        """``observe`` with everything but the counts fixed."""
-        return partial(self.observe, m, n, params)
+    def raw(self, m: int, n: int, params, counts: np.ndarray):
+        """The raw values of the frequency vectors on the last axis of
+        ``counts``."""
+        return self.statistic(counts, m, n, params)
+
+    def bind_raw(self, m: int, n: int, params) -> Callable:
+        """``raw`` with everything but the counts fixed; it pickles, as
+        the entry does."""
+        return partial(self.raw, m, n, params)
 
     def __reduce__(self):
         # the entries hold lambdas; a pickle names the entry instead
@@ -465,6 +477,7 @@ STATISTICS = {
             lambda m, n, p, method, **kw: nulldist.dixon_c2_null(m, n, method, **kw),
             "upper",
             value=_dixon_value,
+            raw_atom=_dixon_raw_atom,
             methods=True,
         ),
         BlockStatistic(
@@ -476,6 +489,7 @@ STATISTICS = {
             "two-sided",
             _score_params,
             _rank_value,
+            lambda atom, m, n, sv: float(atom),
             methods=True,
         ),
     )

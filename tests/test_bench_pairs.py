@@ -51,17 +51,20 @@ def test_pairs_alternate_and_count_wins_per_metric(tmp_path, capsys):
     argv = ["--parent", str(parent), "--change", str(change), "--seed", "4", "--out", str(out)]
     assert bench_pairs.main(argv) == 0
     runs = (tmp_path / "order.log").read_text().splitlines()
-    # per workload, 10 pairs and then one traced run of each side
-    assert len(runs) == 2 * 2 * (10 + 1)
+    # per workload, 10 pairs and then 3 alternating pairs of traced runs
+    assert len(runs) == 2 * 2 * (10 + 3)
     assert [line.split()[0] for line in runs[:4]] == ["parent", "change", "change", "parent"]
     assert runs[0].split()[1:] == ["--workload", "w1", "--seed", "4", "--seconds", "3", "--trace", "0"]
-    assert [line.split()[0] for line in runs[20:22]] == ["parent", "change"]
-    assert runs[21].split()[1:] == ["--workload", "w1", "--seed", "4", "--seconds", "3", "--trace", "1"]
+    assert [line.split()[0] for line in runs[20:26]] == [
+        "parent", "change", "change", "parent", "parent", "change",
+    ]
+    assert {line.split()[-1] for line in runs[:20]} == {"0"}
+    assert {line.split()[-1] for line in runs[20:26]} == {"1"}
+    assert runs[26].split()[1:] == ["--workload", "w2", "--seed", "4", "--seconds", "3", "--trace", "0"]
     result = json.loads(out.read_text())
-    assert result["seeds"]["4"]["w1"]["traced"] == {
-        "parent": {"correct": True, "coverage_frac": 0.95},
-        "change": {"correct": True, "coverage_frac": 0.95},
-    }
+    assert result["traced_runs"] == 3
+    side = {"runs": [{"correct": True, "coverage_frac": 0.95}] * 3, "coverage_median": 0.95}
+    assert result["seeds"]["4"]["w1"]["traced"] == {"parent": side, "change": side}
     assert set(result["seeds"]["4"]) == {"w1", "w2"}
     table = result["seeds"]["4"]["w2"]["metrics"]
     assert table["op_ms"]["change_wins"] == 10 and table["op_ms"]["parent_wins"] == 0
@@ -137,13 +140,18 @@ def test_an_incorrect_run_or_a_larger_failed_share_is_flagged(tmp_path, capsys):
 
 
 def test_a_traced_run_of_the_change_that_fails_is_incorrect(tmp_path, capsys, monkeypatch):
-    # every untraced run is correct; only the change's traced run fails,
-    # as a coverage gate below its bound would
+    # every untraced run is correct; only the change's second traced run
+    # of each workload fails, as a coverage gate below its bound would
+    traced = []
+
     def run_bench(checkout, workload, seed, seconds, trace=0):
-        correct = not (trace and checkout.name == "change")
+        if trace:
+            traced.append(checkout.name)
+        correct = not (trace and checkout.name == "change" and traced.count("change") % 3 == 2)
         metrics = {"op_ms": {"value": 2.0, "unit": "ms"}, "rate": {"value": 10.0, "unit": "1/s"}}
         if trace:
-            metrics = {"trace.coverage_frac": {"value": 0.95 if correct else 0.88, "unit": "frac"}}
+            coverage = 0.88 if not correct else 0.91 if checkout.name == "change" else 0.95
+            metrics = {"trace.coverage_frac": {"value": coverage, "unit": "frac"}}
         return {"correct": correct, "attempted": 5, "failed": int(not correct), "metrics": metrics}
 
     monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
@@ -156,8 +164,12 @@ def test_a_traced_run_of_the_change_that_fails_is_incorrect(tmp_path, capsys, mo
     assert len(lines) == 4 and all(line.endswith("change wins 0/10 INCORRECT") for line in lines)
     entry = json.loads(out.read_text())["seeds"]["3"]["w2"]
     assert entry["traced"] == {
-        "parent": {"correct": True, "coverage_frac": 0.95},
-        "change": {"correct": False, "coverage_frac": 0.88},
+        "parent": {"runs": [{"correct": True, "coverage_frac": 0.95}] * 3, "coverage_median": 0.95},
+        "change": {
+            "runs": [{"correct": True, "coverage_frac": 0.91}, {"correct": False, "coverage_frac": 0.88},
+                     {"correct": True, "coverage_frac": 0.91}],
+            "coverage_median": 0.91,
+        },
     }
     # the traced runs stay out of the untraced outcome and metrics
     assert entry["outcome"]["change"] == {"failed_share": 0.0, "all_correct": True}

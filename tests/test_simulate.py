@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from seblocks import simulate
+from seblocks import simulate, twosample
+from seblocks.cli import _ALL_TESTS
 from seblocks.nulldist import CapacityError, enumerate_frequency_vectors
 from seblocks.partition import (
     Direction,
@@ -320,6 +321,125 @@ class TestPowerStudy:
         assert pooled == serial
         run_power_study(spec, tests, 0.05, 40, 5, workers=2, n_null_draws=500)
         assert sizes == [3, 2]
+
+
+def _replayed_study(spec, tests, alpha, n_replicates, base_seed, n_null_draws):
+    """Rejections and tie retries of ``run_power_study``, one replicate
+    at a time through the public R = 1 API: the replicate's draw, one fit
+    and one count per plan, each column's null at the harness's method
+    and seed key, and ``RejectionRule.decide``."""
+    rejections, retries, rules = [0] * len(tests), 0, {}
+    for r in range(n_replicates):
+        for attempt in range(simulate._MAX_TIED + 1):
+            x, y, descending, u = simulate._draw_replicate(
+                spec, base_seed, r, attempt, len(tests)
+            )
+            (m, _), (n, _) = x.shape, y.shape
+            try:
+                fits = {
+                    name: fit_partition(simulate._oriented_plan(name, spec.p, n, descending), y)
+                    for name in {cfg.fitted_plan for cfg in tests}
+                }
+            except TieError:
+                retries += 1
+                continue
+            break
+        for i, cfg in enumerate(tests):
+            entry, params = twosample.resolve_statistic(cfg.test, m, n, cfg.j)
+            if (i, n) not in rules:
+                method = twosample.null_method(entry, m, n, params, enumerate_scores=False)
+                seed_key = (base_seed, simulate._NULL_SEED_TAG, i, m, n)
+                null = entry.null(m, n, params, method=method, n_draws=n_null_draws, seed=seed_key)
+                rules[i, n] = twosample.build_rejection_rule(null, alpha, cfg.alternative)
+            counts = np.asarray(block_frequencies(fits[cfg.fitted_plan], x).counts)
+            rejections[i] += int(rules[i, n].decide(entry.observe(m, n, params, counts), u[i]))
+    return rejections, retries
+
+
+_SIZE_SWEEP = ("wilcoxon", "van_der_waerden", "terry_hoeffding", "mood", "klotz",
+               "siegel_tukey", "precedence", "maximal_block", "empty_block", "dixon_c2")
+
+
+@pytest.mark.parametrize("spec, tests", [
+    # the twelve ALL columns
+    (ScenarioSpec(scenario=3, c=2.0, p=3, m=30, n=30), [TestConfig(**t) for t in _ALL_TESTS]),
+    # the size sweep under the null with unequal sizes: role swaps, so
+    # two reference sizes, two null seeds per column and two chunks pending
+    (ScenarioSpec(p=3, m=25, n=18),
+     [TestConfig(t, ("spiral", "stairstep")[k % 2]) for k, t in enumerate(_SIZE_SWEEP)]),
+    (ScenarioSpec(scenario=3, c=2.0, p=1, m=12, n=9),
+     [TestConfig("runs"), TestConfig("wilcoxon", "univariate")]),
+])
+def test_the_harness_decides_as_the_public_api_replayed(monkeypatch, spec, tests):
+    # chunks of 8 make the 60 replicates flush many times, the last
+    # chunk of each reference size short
+    monkeypatch.setattr(simulate, "_STATISTIC_CHUNK", 8)
+    ests = run_power_study(spec, tests, 0.1, 60, 11, n_null_draws=500)
+    rejections, retries = _replayed_study(spec, tests, 0.1, 60, 11, 500)
+    assert [e.rejections for e in ests] == rejections
+    assert {e.tie_retries for e in ests} == {retries}
+
+
+def _assert_decides_as_the_rule(rule, entry, m, n, params, raw_values):
+    """The chunk rule of ``rule`` rejects ``raw_values`` of ``entry``
+    exactly where ``rule.decide`` rejects their reported values, for
+    uniforms at, just below and away from every gamma the rule can use."""
+    gammas = {float(rule.lower_gamma), float(rule.upper_gamma),
+              float(rule.lower_gamma + rule.upper_gamma)}
+    uniforms = sorted({0.0, 0.5, np.nextafter(1.0, 0.0)} | gammas
+                      | {float(np.nextafter(g, 0.0)) for g in gammas if g > 0})
+    values = np.repeat(raw_values, len(uniforms))
+    u = np.tile(uniforms, len(raw_values))
+    chunk_rule = simulate._ChunkRule.of(rule, lambda a: entry.raw_atom(a, m, n, params))
+    rejects = chunk_rule.rejects(values, u)
+    assert rejects.dtype == bool
+    assert rejects.tolist() == [
+        rule.decide(entry.value(v, m, n, params), x) for v, x in zip(values, u.tolist())
+    ]
+
+
+@pytest.mark.parametrize("test", _SIZE_SWEEP)
+def test_the_chunk_decision_is_the_rule_decision_value_by_value(test):
+    m, n = 9, 7
+    entry, params = twosample.resolve_statistic(test, m, n)
+    method = twosample.null_method(entry, m, n, params, enumerate_scores=False)
+    null = entry.null(m, n, params, method=method, n_draws=300, seed=4)
+    atoms = sorted(entry.raw_atom(a, m, n, params) for a in null.support)
+    if isinstance(atoms[0], float) and test != "wilcoxon":
+        between = [(a + b) / 2 for a, b in zip(atoms, atoms[1:])] + [atoms[0] - 1, atoms[-1] + 1]
+    else:  # integer raw values: one either side of every atom
+        between = [a + d for a in atoms for d in (-1, 1)]
+    raw_values = np.array(sorted(set(atoms + between)), dtype=type(atoms[0]))
+    for alpha in (0.05, 0.3):
+        for alternative in ("lower", "upper", "two-sided"):
+            rule = twosample.build_rejection_rule(null, alpha, alternative)
+            _assert_decides_as_the_rule(rule, entry, m, n, params, raw_values)
+
+
+def test_the_chunk_decision_sums_the_gammas_of_coinciding_atoms():
+    entry = twosample.STATISTICS["empty_block"]
+    rule = twosample.build_rejection_rule(entry.null(1, 1, None), 0.9, "two-sided")
+    assert rule.lower_critical == rule.upper_critical == 1
+    assert simulate._ChunkRule.of(rule, int).lower_gamma == float(rule.lower_gamma * 2)
+    _assert_decides_as_the_rule(rule, entry, 1, 1, None, np.array([0, 1, 2]))
+
+
+def test_the_chunk_decision_compares_dixon_past_int64_exactly():
+    # m^2 n (n+1) passes int64, so the raw values are Python integers
+    m = n = 60_000
+    entry = twosample.STATISTICS["dixon_c2"]
+    null = entry.null(m, n, None, method="monte_carlo", n_draws=20, seed=3)
+    counts = np.zeros((2, n + 1), dtype=np.int64)
+    counts[0, 0] = m  # every point in one block
+    counts[1, 1:] = 1  # one point per block but the first
+    raw = entry.bind_raw(m, n, None)(counts)
+    assert raw.dtype == object and raw[0] > np.iinfo(np.int64).max
+    atoms = [entry.raw_atom(a, m, n, None) for a in null.support]
+    raw_values = np.array(sorted({*raw.tolist(), *atoms, *(a + d for a in atoms for d in (-1, 1))}),
+                          dtype=object)
+    for alternative in ("lower", "upper", "two-sided"):
+        rule = twosample.build_rejection_rule(null, 0.3, alternative)
+        _assert_decides_as_the_rule(rule, entry, m, n, None, raw_values)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5])

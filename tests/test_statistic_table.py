@@ -387,8 +387,10 @@ def test_observed_statistics_are_atoms_of_the_monte_carlo_null(test, m, n):
     rng = np.random.default_rng(9)
     bars = np.concatenate(list(nulldist._sample_arrangements(m, n, 400, rng)))
     counts = nulldist._counts_from_bars(bars, m + n)
-    observe = entry.bind(m, n, params)
-    assert all(observe(row) in atoms for row in counts)
+    assert all(entry.observe(m, n, params, row) in atoms for row in counts)
+    # and the raw values of the stacked rows are the atoms' raw values
+    raw_atoms = {entry.raw_atom(a, m, n, params) for a in atoms}
+    assert all(v in raw_atoms for v in entry.bind_raw(m, n, params)(counts).tolist())
     for row in counts[:50]:
         freqs = BlockFrequencies(tuple(row.tolist()), m, n)
         res = twosample.block_test(test, freqs, method="monte_carlo", n_draws=400, seed=9)
@@ -402,8 +404,10 @@ def test_a_count_matrix_observes_row_by_row(name):
     params = entry.params(m, n, None, None)
     bars = np.concatenate(list(nulldist._sample_arrangements(m, n, 60, np.random.default_rng(2))))
     counts = nulldist._counts_from_bars(bars, m + n)
-    observe = entry.bind(m, n, params)
-    assert observe(counts) == [observe(row) for row in counts]
+    raw = entry.bind_raw(m, n, params)(counts)
+    assert len(raw) == len(counts)
+    for row, v in zip(counts, raw):
+        assert entry.value(v, m, n, params) == entry.observe(m, n, params, row)
 
 
 def test_result_is_immutable_and_the_decision_carries_gamma():

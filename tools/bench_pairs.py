@@ -18,11 +18,13 @@ each side's ``outcome``: the share of its operations that failed, over
 all its runs, and whether every run was correct; the summary lines end
 in ``INCORRECT`` when a run of the change was not correct, and in
 ``MORE FAILED`` when the change failed a larger share.  After the
-pairs, each side makes one ``--trace 1`` run per seed and workload,
-recorded as ``traced``: whether it was correct (its checks include the
-coverage gate where a workload has one) and its ``trace.coverage_frac``;
-a traced run of the change that is not correct also ends the summary
-lines in ``INCORRECT``.  It also names
+pairs, each side makes ``TRACED_RUNS`` ``--trace 1`` runs per seed and
+workload, again alternating which goes first, recorded as ``traced``:
+per side, every run's ``correct`` (its checks include the coverage gate
+where a workload has one) and ``trace.coverage_frac``, and the median
+coverage; a traced run of the change that is not correct also ends the
+summary lines in ``INCORRECT``.  One traced run per side would decide
+by chance where a gate sits inside the run-to-run spread.  It also names
 the code of each side: the checkout's HEAD and, when the checkout
 differs from it, the SHA-256 of ``git diff HEAD --binary`` followed by
 each untracked file's path and bytes.
@@ -39,6 +41,8 @@ import sys
 from pathlib import Path
 
 PAIRS = 10
+# traced runs per side, seed and workload
+TRACED_RUNS = 3
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -79,6 +83,14 @@ def compare(parent_runs: list, change_runs: list, metrics: dict) -> dict:
             "regressed": loss > spec["bound"] * abs(parent["median"]),
         }
     return out
+
+
+def traced_summary(runs: list) -> dict:
+    """One side's traced runs: each run's correctness and coverage, and
+    the median coverage."""
+    coverage = [r["metrics"]["trace.coverage_frac"]["value"] for r in runs]
+    return {"runs": [{"correct": r["correct"], "coverage_frac": c} for r, c in zip(runs, coverage)],
+            "coverage_median": statistics.median(coverage)}
 
 
 def outcome(runs: list) -> dict:
@@ -130,25 +142,24 @@ def main(argv=None) -> int:
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     result = {
-        "seconds": seconds, "pairs": PAIRS,
+        "seconds": seconds, "pairs": PAIRS, "traced_runs": TRACED_RUNS,
         "code": {name: code_identity(path) for name, path in sides.items()},
         "seeds": {},
     }
     workloads = [w["name"] for w in spec["workloads"]]
     for seed, workload in [(seed, w) for seed in args.seed for w in workloads]:
         runs = {"parent": [], "change": []}
-        for pair in range(PAIRS):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for name in order:
-                runs[name].append(run_bench(sides[name], workload, seed, seconds))
-        traced = {}
-        for name in ("parent", "change"):
-            r = run_bench(sides[name], workload, seed, seconds, trace=1)
-            traced[name] = {"correct": r["correct"],
-                            "coverage_frac": r["metrics"]["trace.coverage_frac"]["value"]}
+        traced_runs = {"parent": [], "change": []}
+        for count, trace, out in ((PAIRS, 0, runs), (TRACED_RUNS, 1, traced_runs)):
+            for pair in range(count):
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                for name in order:
+                    out[name].append(run_bench(sides[name], workload, seed, seconds, trace))
+        traced = {name: traced_summary(rs) for name, rs in traced_runs.items()}
         table = compare(runs["parent"], runs["change"], metrics)
         outcomes = {name: outcome(rs) for name, rs in runs.items()}
-        incorrect = not (outcomes["change"]["all_correct"] and traced["change"]["correct"])
+        incorrect = not (outcomes["change"]["all_correct"]
+                         and all(r["correct"] for r in traced_runs["change"]))
         flags = " INCORRECT" * incorrect + " MORE FAILED" * (
             outcomes["change"]["failed_share"] > outcomes["parent"]["failed_share"]
         )
