@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import Callable, Sequence
@@ -218,9 +218,14 @@ def _cached_rule(
     test: str, m: int, n: int, j: int | None, alternative: str,
     alpha: float, method: str, n_draws: int, seed_key: tuple,
 ) -> RejectionRule:
+    """The column's rule, its critical atoms mapped into the raw domain
+    of its statistic, where the harness decides."""
     entry, params = twosample.resolve_statistic(test, m, n, j)
     null = entry.null(m, n, params, method=method, n_draws=n_draws, seed=seed_key)
-    return build_rejection_rule(null, alpha, alternative)
+    rule = build_rejection_rule(null, alpha, alternative)
+    lo, hi = (None if a is None else entry.raw_atom(a, m, n, params)
+              for a in (rule.lower_critical, rule.upper_critical))
+    return replace(rule, lower_critical=lo, upper_critical=hi)
 
 
 # --- the replicate loop ------------------------------------------------------
@@ -259,48 +264,13 @@ def _draw_replicate(spec: ScenarioSpec, base_seed: int, r: int, attempt: int, k_
 
 
 @dataclass(frozen=True)
-class _ChunkRule:
-    """A ``RejectionRule`` in the raw domain of its statistic, applied
-    to a chunk of replicates at once.
-
-    ``RejectionRule.decide`` rejects a statistic beyond a critical atom,
-    and one on it when the uniform is below float(gamma), the two gammas
-    summed where the atoms coincide.  So a raw value v rejects when
-    v < lower or v > upper, or when v equals an atom and its uniform is
-    below that atom's gamma.  A tail the rule lacks is None."""
-
-    lower: object
-    upper: object
-    lower_gamma: float
-    upper_gamma: float
-
-    @classmethod
-    def of(cls, rule: RejectionRule, raw_atom: Callable) -> "_ChunkRule":
-        """``rule`` with its atoms mapped into the raw domain by ``raw_atom``."""
-        lo, hi = rule.lower_critical, rule.upper_critical
-        gammas = float(rule.lower_gamma), float(rule.upper_gamma)
-        if lo is not None and lo == hi:
-            gammas = (float(rule.lower_gamma + rule.upper_gamma),) * 2
-        return cls(*(None if a is None else raw_atom(a) for a in (lo, hi)), *gammas)
-
-    def rejects(self, values: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        """Whether each raw value rejects with the uniform beside it."""
-        out = np.zeros(uniforms.shape, dtype=bool)
-        if self.lower is not None:
-            out |= (values < self.lower) | (values == self.lower) & (uniforms < self.lower_gamma)
-        if self.upper is not None:
-            out |= (values > self.upper) | (values == self.upper) & (uniforms < self.upper_gamma)
-        return out
-
-
-@dataclass(frozen=True)
 class _StudyContext:
     spec: ScenarioSpec
     tests: tuple[TestConfig, ...]
     plan_names: tuple[str, ...]
     # per reference size: the distinct statistics, each bound to raw
     # values, and per column (its statistic's index, its plan's row, its
-    # rejection rule in the raw domain)
+    # ``RejectionRule`` with raw critical atoms)
     statistics: dict
     columns: dict
     base_seed: int
@@ -386,9 +356,9 @@ def run_power_study(
     Block counts and decision uniforms pend in chunks of up to 256
     replicates per reference size.  Each distinct statistic is evaluated
     once on a chunk's stacked counts, in its raw domain, and each column
-    decides the whole chunk with array comparisons against its rule's
-    critical atoms mapped into that domain; these are the comparisons
-    ``RejectionRule.decide`` makes, so every decision is the same.
+    decides the whole chunk with ``RejectionRule.rejects``, its rule's
+    critical atoms mapped into that domain, so every decision is the one
+    ``RejectionRule.decide`` makes on the reported statistic.
     """
     if n_replicates < 1:
         raise ValueError(f"n_replicates must be >= 1, got {n_replicates}")
@@ -396,6 +366,8 @@ def run_power_study(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if n_null_draws < 1:
+        raise ValueError(f"n_null_draws must be >= 1, got {n_null_draws}")
     tests = tuple(tests)
     if not tests:
         raise ValueError("need at least one test configuration")
@@ -404,7 +376,7 @@ def run_power_study(
 
     # per reference size (one when m = n), each distinct statistic bound
     # once to raw values with its sizes, parameters and scores, and
-    # evaluated on every plan's row; each rule's atoms mapped to raw values
+    # evaluated on every plan's row, and each column's rule in raw values
     statistics, columns = {}, {}
     for m_eff, n_eff in dict.fromkeys([(spec.m, spec.n), (spec.n, spec.m)]):
         index, bound, cols = {}, [], []
@@ -419,8 +391,7 @@ def run_power_study(
             if (cfg.test, cfg.j) not in index:
                 index[(cfg.test, cfg.j)] = len(bound)
                 bound.append(entry.bind_raw(m_eff, n_eff, params))
-            raw_rule = _ChunkRule.of(rule, lambda a: entry.raw_atom(a, m_eff, n_eff, params))
-            cols.append((index[(cfg.test, cfg.j)], plan_names.index(cfg.fitted_plan), raw_rule))
+            cols.append((index[(cfg.test, cfg.j)], plan_names.index(cfg.fitted_plan), rule))
         statistics[n_eff], columns[n_eff] = tuple(bound), tuple(cols)
 
     ctx = _StudyContext(spec, tests, plan_names, statistics, columns, base_seed)
@@ -515,8 +486,10 @@ class UniformityReport:
 
 
 @lru_cache(maxsize=16)
-def _all_vectors(m: int, n: int) -> tuple:
-    return nulldist.enumerate_frequency_vectors(m, n).vectors
+def _vector_keys(m: int, n: int) -> dict:
+    """Lexicographic rank -> frequency vector, filled as the uniformity
+    check first sees each rank, so reports share their key objects."""
+    return {}
 
 
 def _standard_generator(name: str):
@@ -565,8 +538,7 @@ def frequency_uniformity_check(
         )
     draw_pairs = _pair_drawer(generator, m, n, p)
     plan = _oriented_plan(canonical_plan(plan_label), p, n, False)
-    vectors = _all_vectors(m, n)  # lexicographic; the report's keys
-    rank = _lexicographic_rank(m, n)
+    keys, rank = _vector_keys(m, n), _lexicographic_rank(m, n)
     rng = np.random.default_rng(seed)
     counts: dict[tuple, int] = {}
     remaining, tied_run = replicates, 0
@@ -585,8 +557,11 @@ def frequency_uniformity_check(
                 "the generator must draw from a continuous law"
             )
         tied_run = int(runs[-1])
-        for i, k in zip(*(a.tolist() for a in np.unique(rank(rows), return_counts=True))):
-            counts[vectors[i]] = counts.get(vectors[i], 0) + k
+        ranks = rank(rows)
+        for i, k in zip(*(a.tolist() for a in np.unique(ranks, return_counts=True))):
+            if i not in keys:
+                keys[i] = tuple(rows[np.argmax(ranks == i)].tolist())
+            counts[keys[i]] = counts.get(keys[i], 0) + k
         remaining -= rows.shape[0]
     return UniformityReport(m, n, replicates, counts, n_possible)
 

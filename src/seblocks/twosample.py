@@ -553,11 +553,15 @@ def null_method(
     m * n * min(m, n) is at most ``_RANK_COUNT_LIMIT``, any other while
     C(m+n, n) fits the enumeration cap, and Monte Carlo beyond these.
     ``enumerate_scores=False`` (the power harness) draws the other score
-    families by Monte Carlo at every size.
+    families by Monte Carlo at every size.  Method names compare in any
+    case; any other name is refused.
     """
+    key = method.lower() if isinstance(method, str) else method
+    if key not in ("auto", "exact", "monte_carlo", "normal"):
+        raise ValueError(f"method must be auto, exact, monte_carlo or normal, got {method!r}")
     if not entry.methods:
         return "exact"
-    if method != "auto":
+    if key != "auto":
         return method
     if isinstance(params, ScoreVector):
         if nulldist._is_ranks(params.scores) and m * n * min(m, n) <= _RANK_COUNT_LIMIT:
@@ -709,12 +713,20 @@ class RejectionRule:
         return g
 
     def decide(self, statistic, uniform: float) -> bool:
-        if self.lower_critical is not None and statistic < self.lower_critical:
-            return True
-        if self.upper_critical is not None and statistic > self.upper_critical:
-            return True
-        g = self.gamma_at(statistic)
-        return g > 0 and uniform < float(g)
+        return bool(self.rejects(statistic, uniform))
+
+    def rejects(self, statistics, uniforms) -> np.ndarray:
+        """Whether each statistic rejects with the uniform beside it:
+        beyond a critical atom outright, on one when the uniform is below
+        float(gamma_at(atom)), which sums the gammas of coinciding atoms.
+        The arguments broadcast, scalars to a 0-d result; values of
+        object dtype compare in Python."""
+        v, u = np.asarray(statistics), np.asarray(uniforms)
+        out = np.zeros(np.broadcast(v, u).shape, dtype=bool)
+        for atom, beyond in ((self.lower_critical, np.less), (self.upper_critical, np.greater)):
+            if atom is not None:
+                out |= beyond(v, atom) | (v == atom) & (u < float(self.gamma_at(atom)))
+        return out
 
     def size(self, pmf: Pmf) -> Fraction:
         """Exact rejection probability under ``pmf``; equals alpha when

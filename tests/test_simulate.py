@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -202,6 +203,13 @@ class TestPowerStudy:
             run_power_study(ScenarioSpec(p=2, m=8, n=6), [TestConfig("empty_block")], 0.1, 5, 1,
                             workers=0)
 
+    @pytest.mark.parametrize("draws", [0, -5])
+    def test_a_null_draw_count_below_one_is_refused(self, draws):
+        # refused even when every column's null is exact and draws nothing
+        with pytest.raises(ValueError, match=f"^n_null_draws must be >= 1, got {draws}$"):
+            run_power_study(ScenarioSpec(p=2, m=8, n=6), [TestConfig("empty_block")], 0.1, 5, 1,
+                            n_null_draws=draws)
+
     def test_estimate_fields(self):
         spec = ScenarioSpec(scenario=4, c=2.0, p=3, m=15, n=15)
         est = run_power_study(
@@ -380,22 +388,45 @@ def test_the_harness_decides_as_the_public_api_replayed(monkeypatch, spec, tests
     assert {e.tie_retries for e in ests} == {retries}
 
 
-def _assert_decides_as_the_rule(rule, entry, m, n, params, raw_values):
-    """The chunk rule of ``rule`` rejects ``raw_values`` of ``entry``
-    exactly where ``rule.decide`` rejects their reported values, for
-    uniforms at, just below and away from every gamma the rule can use."""
+def _decide_by_definition(rule, statistic, uniform):
+    """The randomized rule's decision of one reported statistic: beyond
+    a critical atom it rejects, on one when the uniform is below the
+    atom's gamma."""
+    if rule.lower_critical is not None and statistic < rule.lower_critical:
+        return True
+    if rule.upper_critical is not None and statistic > rule.upper_critical:
+        return True
+    g = rule.gamma_at(statistic)
+    return g > 0 and uniform < float(g)
+
+
+def _harness_rule(test, m, n, alternative, alpha, method, n_draws, seed):
+    """The rule the harness builds for a column, with raw critical
+    atoms, and the same rule over the reported statistics."""
+    entry, params = twosample.resolve_statistic(test, m, n)
+    null = entry.null(m, n, params, method=method, n_draws=n_draws, seed=seed)
+    rule = twosample.build_rejection_rule(null, alpha, alternative)
+    raw_rule = simulate._cached_rule(test, m, n, None, alternative, alpha, method, n_draws, seed)
+    return rule, raw_rule
+
+
+def _assert_decides_as_the_rule(rule, raw_rule, entry, m, n, params, raw_values):
+    """``raw_rule.rejects`` rejects ``raw_values`` of ``entry`` exactly
+    where the definition rejects their reported values under ``rule``,
+    and so does ``rule.decide``, for uniforms at, just below and away
+    from every gamma the rule can use."""
     gammas = {float(rule.lower_gamma), float(rule.upper_gamma),
               float(rule.lower_gamma + rule.upper_gamma)}
     uniforms = sorted({0.0, 0.5, np.nextafter(1.0, 0.0)} | gammas
                       | {float(np.nextafter(g, 0.0)) for g in gammas if g > 0})
     values = np.repeat(raw_values, len(uniforms))
     u = np.tile(uniforms, len(raw_values))
-    chunk_rule = simulate._ChunkRule.of(rule, lambda a: entry.raw_atom(a, m, n, params))
-    rejects = chunk_rule.rejects(values, u)
+    rejects = raw_rule.rejects(values, u)
     assert rejects.dtype == bool
-    assert rejects.tolist() == [
-        rule.decide(entry.value(v, m, n, params), x) for v, x in zip(values, u.tolist())
-    ]
+    reported = [entry.value(v, m, n, params) for v in values]
+    expected = [_decide_by_definition(rule, s, x) for s, x in zip(reported, u.tolist())]
+    assert rejects.tolist() == expected
+    assert [rule.decide(s, x) for s, x in zip(reported, u.tolist())] == expected
 
 
 @pytest.mark.parametrize("test", _SIZE_SWEEP)
@@ -412,16 +443,19 @@ def test_the_chunk_decision_is_the_rule_decision_value_by_value(test):
     raw_values = np.array(sorted(set(atoms + between)), dtype=type(atoms[0]))
     for alpha in (0.05, 0.3):
         for alternative in ("lower", "upper", "two-sided"):
-            rule = twosample.build_rejection_rule(null, alpha, alternative)
-            _assert_decides_as_the_rule(rule, entry, m, n, params, raw_values)
+            rules = _harness_rule(test, m, n, alternative, alpha, method, 300, 4)
+            _assert_decides_as_the_rule(*rules, entry, m, n, params, raw_values)
 
 
 def test_the_chunk_decision_sums_the_gammas_of_coinciding_atoms():
     entry = twosample.STATISTICS["empty_block"]
-    rule = twosample.build_rejection_rule(entry.null(1, 1, None), 0.9, "two-sided")
+    rule, raw_rule = _harness_rule("empty_block", 1, 1, "two-sided", 0.9, "exact", 300, 0)
     assert rule.lower_critical == rule.upper_critical == 1
-    assert simulate._ChunkRule.of(rule, int).lower_gamma == float(rule.lower_gamma * 2)
-    _assert_decides_as_the_rule(rule, entry, 1, 1, None, np.array([0, 1, 2]))
+    # the atom rejects below the summed gamma, not below either one
+    both = float(rule.lower_gamma + rule.upper_gamma)
+    for r in (rule, raw_rule):
+        assert r.rejects(1, np.nextafter(both, 0.0)) and not r.rejects(1, both)
+    _assert_decides_as_the_rule(rule, raw_rule, entry, 1, 1, None, np.array([0, 1, 2]))
 
 
 def test_the_chunk_decision_compares_dixon_past_int64_exactly():
@@ -438,8 +472,23 @@ def test_the_chunk_decision_compares_dixon_past_int64_exactly():
     raw_values = np.array(sorted({*raw.tolist(), *atoms, *(a + d for a in atoms for d in (-1, 1))}),
                           dtype=object)
     for alternative in ("lower", "upper", "two-sided"):
+        rules = _harness_rule("dixon_c2", m, n, alternative, 0.3, "monte_carlo", 20, 3)
+        _assert_decides_as_the_rule(*rules, entry, m, n, None, raw_values)
+
+
+def test_a_scalar_statistic_is_decided_as_a_0d_array():
+    # Dixon's reported statistics are Fractions, compared in Python
+    entry = twosample.STATISTICS["dixon_c2"]
+    null = entry.null(9, 7, None, method="exact")
+    for alternative in ("lower", "upper", "two-sided"):
         rule = twosample.build_rejection_rule(null, 0.3, alternative)
-        _assert_decides_as_the_rule(rule, entry, m, n, None, raw_values)
+        gammas = {float(rule.lower_gamma), float(rule.upper_gamma)}
+        for atom in null.support:
+            assert isinstance(atom, Fraction)
+            for u in sorted(gammas | {0.0, 0.5} | {float(np.nextafter(g, 0.0)) for g in gammas}):
+                rejects = rule.rejects(atom, u)
+                assert rejects.shape == () and rejects.dtype == bool
+                assert bool(rejects) == _decide_by_definition(rule, atom, u)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5])
@@ -553,9 +602,10 @@ class TestBatchedUniformity:
         draw = simulate._standard_generator(generator) if isinstance(generator, str) else generator
         report = frequency_uniformity_check(3, 3, 2, "spiral", replicates, seed=41, generator=generator)
         assert report.counts == _tally_one_pair_at_a_time(3, 3, 2, "spiral", replicates, 41, draw)
-        # the keys are the cached vectors themselves, not equal copies
-        cached = {id(v) for v in simulate._all_vectors(3, 3)}
-        assert all(id(vec) in cached for vec in report.counts)
+        # two calls share their key objects, not equal copies
+        again = frequency_uniformity_check(3, 3, 2, "spiral", replicates, seed=41, generator=generator)
+        assert list(again.counts.items()) == list(report.counts.items())
+        assert all(a is b for a, b in zip(again.counts, report.counts))
 
     @pytest.mark.parametrize("generator", ["normal", "Normal", "cauchy", "CAUCHY"])
     @pytest.mark.parametrize("p, label", [(1, "univariate"), (2, "spiral"), (3, "spiral")])
@@ -630,11 +680,6 @@ class TestBatchedUniformity:
         calls.clear()
         assert report.counts == _tally_one_pair_at_a_time(3, 3, 2, "spiral", 3, 2, draw)
         assert sum(report.counts.values()) == 3
-
-    def test_vectors_are_sorted_for_the_key_lookup(self):
-        for m, n in [(3, 3), (1, 4), (5, 2)]:
-            vectors = simulate._all_vectors(m, n)
-            assert list(vectors) == sorted(vectors)
 
     def test_a_flat_univariate_draw_is_one_coordinate(self):
         def flat(k, p, rng):

@@ -238,6 +238,18 @@ def test_policy_reads_the_scores_and_passes_a_named_method():
     assert twosample.null_method(entry, 9, 7, params, "monte_carlo") == "exact"
 
 
+@pytest.mark.parametrize("test", ["precedence", "wilcoxon", "dixon_c2"])
+def test_policy_refuses_an_unknown_method(test):
+    freqs = BlockFrequencies((1, 2, 0, 1), 4, 3)
+    with pytest.raises(ValueError) as caught:
+        twosample.block_test(test, freqs, method="bogus")
+    assert str(caught.value) == "method must be auto, exact, monte_carlo or normal, got 'bogus'"
+    entry, params = twosample.resolve_statistic(test, 4, 3)
+    for method in ("AUTO", "Exact", "monte_carlo"):  # any case
+        twosample.null_method(entry, 4, 3, params, method)
+    assert twosample.null_method(entry, 4, 3, params, "AUTO") == "exact"
+
+
 def _harness_method(test, m, n):
     """The harness's null method, from the one policy."""
     entry, params = twosample.resolve_statistic(test, m, n)
