@@ -58,13 +58,15 @@ class CapacityError(ValueError):
 
 def enumeration_cap() -> int:
     """The enumeration cap: the SEBLOCKS_ENUM_CAP environment variable,
-    else the default.  A value that is not a non-negative integer is
-    refused; 0 enumerates nothing."""
+    else the default.  A value that is not an integer in [0, 2^63) is
+    refused (ranks are int64); 0 enumerates nothing."""
     env = os.environ.get(ENUM_CAP_ENV)
     if not env:
         return DEFAULT_ENUM_CAP
     if not env.isdecimal():
         raise ValueError(f"{ENUM_CAP_ENV} must be a non-negative integer, got {env!r}")
+    if len(env.lstrip("0")) > 19 or int(env) > np.iinfo(np.int64).max:  # int() refuses 4,300+ digits
+        raise ValueError(f"{ENUM_CAP_ENV} must be below 2^63, got {env!r}")
     return int(env)
 
 
@@ -256,6 +258,40 @@ def _reference_positions(counts: np.ndarray) -> np.ndarray:
     return np.cumsum(counts[..., :n], axis=-1) + np.arange(n)
 
 
+@lru_cache(maxsize=16)
+def _lexicographic_table(m: int, n: int) -> np.ndarray:
+    """The combinatorial number system of the arrangements (Knuth, TAOCP
+    4A, 7.2.1.3), read-only int64: with S_k = r_1 + ... + r_{k+1}, the
+    vectors that agree with a frequency vector in r_1..r_k and exceed it
+    in r_{k+1} number entry [k, S_k] = C(n-1-k+m-S_k, n-k), strictly
+    decreasing along each row.  No entry passes C(m+n, n)."""
+    table = np.array([[math.comb(n - 1 - k + m - s, n - k) for s in range(m + 1)]
+                      for k in range(n)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def _lexicographic_rank(counts: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The int64 position of each frequency vector (a row of n+1 counts
+    summing to m) among all C(m+n, n) in lexicographic order: the last,
+    C(m+n, n) - 1, less the table entries at its S_k (the later ones)."""
+    later = _lexicographic_table(m, n)[np.arange(n), np.cumsum(counts[:, :n], axis=1)]
+    return math.comb(m + n, n) - 1 - later.sum(axis=1)
+
+
+def _lexicographic_unrank(ranks, m: int, n: int) -> np.ndarray:
+    """Ascending reference positions S_k + k of the arrangements at
+    ``ranks``: part by part, S_k is the first s whose entry does not
+    pass the count of later vectors left to place."""
+    table, bars = _lexicographic_table(m, n), np.empty((len(ranks), n), dtype=np.int64)
+    later = math.comb(m + n, n) - 1 - np.asarray(ranks, dtype=np.int64)
+    for k in range(n):
+        cum = m + 1 - np.searchsorted(table[k, ::-1], later, side="right")
+        later -= table[k, cum]
+        bars[:, k] = cum + k
+    return bars
+
+
 def _arrangement_chunks(m: int, n: int):
     """Every arrangement, in lexicographic order, as (rows, n) matrices
     of ascending reference positions of bounded size."""
@@ -267,14 +303,8 @@ def _arrangement_chunks(m: int, n: int):
             f"raise {ENUM_CAP_ENV} or use method='monte_carlo'"
         )
     rows = max(1, _CHUNK_CELLS // (m + n))
-    bars = itertools.combinations(range(m + n), n)
-    while True:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(bars, rows)), dtype=np.intp
-        )
-        if not flat.size:
-            return
-        yield flat.reshape(-1, n)
+    for start in range(0, total, rows):
+        yield _lexicographic_unrank(np.arange(start, min(start + rows, total)), m, n)
 
 
 def _sample_arrangements(m: int, n: int, n_draws: int, rng: np.random.Generator):

@@ -538,7 +538,7 @@ def frequency_uniformity_check(
         )
     draw_pairs = _pair_drawer(generator, m, n, p)
     plan = _oriented_plan(canonical_plan(plan_label), p, n, False)
-    keys, rank = _vector_keys(m, n), _lexicographic_rank(m, n)
+    keys = _vector_keys(m, n)
     rng = np.random.default_rng(seed)
     counts: dict[tuple, int] = {}
     remaining, tied_run = replicates, 0
@@ -557,36 +557,16 @@ def frequency_uniformity_check(
                 "the generator must draw from a continuous law"
             )
         tied_run = int(runs[-1])
-        ranks = rank(rows)
-        for i, k in zip(*(a.tolist() for a in np.unique(ranks, return_counts=True))):
-            if i not in keys:
-                keys[i] = tuple(rows[np.argmax(ranks == i)].tolist())
+        ranks = nulldist._lexicographic_rank(rows, m, n)
+        seen, tallies = (a.tolist() for a in np.unique(ranks, return_counts=True))
+        new = [i for i in seen if i not in keys]
+        if new:  # only a rank seen for the first time is unranked
+            vectors = nulldist._counts_from_bars(nulldist._lexicographic_unrank(new, m, n), m + n)
+            keys.update(zip(new, map(tuple, vectors.tolist())))
+        for i, k in zip(seen, tallies):
             counts[keys[i]] = counts.get(keys[i], 0) + k
         remaining -= rows.shape[0]
     return UniformityReport(m, n, replicates, counts, n_possible)
-
-
-def _lexicographic_rank(m: int, n: int) -> Callable:
-    """``rank(rows)``: the position of each frequency vector (a row of
-    n+1 counts summing to m) in the lexicographic order of all
-    C(m+n, n), as int64.
-
-    With S_k = r_1 + ... + r_{k+1}, the vectors that agree with a vector
-    in r_1..r_k and exceed it in r_{k+1} number C(n-1-k+m-S_k, n-k), so
-    its rank is C(m+n, n) - 1 minus the sum of those n binomials (Knuth,
-    TAOCP 4A, 7.2.1.3).  They are looked up in one (n, m+1) table, none
-    of whose entries passes C(m+n, n).
-    """
-    weights = np.array(
-        [[math.comb(n - 1 - k + m - s, n - k) for s in range(m + 1)] for k in range(n)],
-        dtype=np.int64,
-    )
-    parts, last = np.arange(n), math.comb(m + n, n) - 1
-
-    def rank(rows):
-        return last - weights[parts, np.cumsum(rows[:, :n], axis=1)].sum(axis=1)
-
-    return rank
 
 
 def _pair_drawer(generator: str | Callable, m: int, n: int, p: int) -> Callable:

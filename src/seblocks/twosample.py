@@ -554,7 +554,7 @@ def null_method(
     C(m+n, n) fits the enumeration cap, and Monte Carlo beyond these.
     ``enumerate_scores=False`` (the power harness) draws the other score
     families by Monte Carlo at every size.  Method names compare in any
-    case; any other name is refused.
+    case, and the lower-case name is returned; any other name is refused.
     """
     key = method.lower() if isinstance(method, str) else method
     if key not in ("auto", "exact", "monte_carlo", "normal"):
@@ -562,7 +562,7 @@ def null_method(
     if not entry.methods:
         return "exact"
     if key != "auto":
-        return method
+        return key
     if isinstance(params, ScoreVector):
         if nulldist._is_ranks(params.scores) and m * n * min(m, n) <= _RANK_COUNT_LIMIT:
             return "exact"

@@ -316,6 +316,14 @@ class TestDistCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: SEBLOCKS_ENUM_CAP ") and err.count("\n") == 1
 
+    def test_a_cap_past_the_int64_ranks_is_one_error_line(self, monkeypatch, capsys):
+        # C(80, 40) = 1.1e23 arrangements: refused before any is enumerated
+        monkeypatch.setenv("SEBLOCKS_ENUM_CAP", str(10**26))
+        argv = ["dist", "--statistic", "dixon_c2", "--m", "40", "--n", "40", "--method", "exact"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: SEBLOCKS_ENUM_CAP must be below 2^63, got '{10**26}'\n"
+
     def test_out_file(self, tmp_path):
         out = tmp_path / "pmf.csv"
         code = cli.main([

@@ -77,11 +77,63 @@ class TestEnumeration:
         with pytest.raises(ValueError, match=f"SEBLOCKS_ENUM_CAP must be a non-negative integer, got '{value}'"):
             enumeration_cap()
 
+    def test_a_cap_past_the_int64_ranks_is_refused(self, monkeypatch):
+        monkeypatch.setenv("SEBLOCKS_ENUM_CAP", str(2**63 - 1))
+        assert enumeration_cap() == 2**63 - 1
+        for value in (str(2**63), "10" + "0" * 25, "9" * 5000):
+            monkeypatch.setenv("SEBLOCKS_ENUM_CAP", value)
+            with pytest.raises(ValueError) as caught:
+                enumeration_cap()
+            assert str(caught.value) == f"SEBLOCKS_ENUM_CAP must be below 2^63, got '{value}'"
+
     def test_a_zero_cap_enumerates_nothing(self, monkeypatch):
         monkeypatch.setenv("SEBLOCKS_ENUM_CAP", "0")
         assert enumeration_cap() == 0
         with pytest.raises(CapacityError):
             enumerate_frequency_vectors(1, 1)
+
+
+class TestLexicographicOrder:
+    """Rank, unrank and enumeration read one table, the combinatorial
+    number system of the arrangements; ``itertools`` is the reference."""
+
+    # the rank test's grid, plus (8, 8): four chunks, the last one short
+    GRID = [(1, 1), (1, 7), (7, 1), (2, 5), (5, 5), (12, 1), (3, 9), (8, 8)]
+
+    @pytest.mark.parametrize("m, n", GRID)
+    def test_the_enumeration_is_the_lexicographic_order(self, m, n):
+        chunks = list(nulldist._arrangement_chunks(m, n))
+        rows = max(1, nulldist._CHUNK_CELLS // (m + n))
+        assert [len(c) for c in chunks[:-1]] == [rows] * (len(chunks) - 1)
+        assert 1 <= len(chunks[-1]) <= rows
+        enumerated = [tuple(row) for chunk in chunks for row in chunk.tolist()]
+        assert enumerated == list(itertools.combinations(range(m + n), n))
+
+    @pytest.mark.parametrize("m, n", GRID + [(12, 6), (15, 11)])
+    def test_unrank_inverts_rank(self, m, n):
+        total = math.comb(m + n, n)
+        drawn = np.random.default_rng(m * n).integers(total, size=500)
+        ranks = np.unique(np.r_[0, total - 1, drawn])
+        bars = nulldist._lexicographic_unrank(ranks, m, n)
+        assert bars.dtype == np.int64
+        assert (np.diff(bars, axis=1) > 0).all() and bars[:, 0].min() >= 0
+        assert bars[:, -1].max() < m + n
+        counts = nulldist._counts_from_bars(bars, m + n)
+        assert (counts.sum(axis=1) == m).all()
+        assert nulldist._lexicographic_rank(counts, m, n).tolist() == ranks.tolist()
+        # the first vector puts every point in the last block, the last in the first
+        assert counts[0].tolist() == [0] * n + [m] and counts[-1].tolist() == [m] + [0] * n
+
+    @pytest.mark.parametrize("m, n", [(1, 12), (12, 1), (15, 11)])
+    def test_the_table_is_read_only_int64_within_the_count(self, m, n):
+        table = nulldist._lexicographic_table(m, n)
+        assert table.dtype == np.int64 and table.shape == (n, m + 1)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+        assert 0 <= table.min() and table.max() <= math.comb(m + n, n)
+        assert (np.diff(table, axis=1) < 0).all()
+        assert nulldist._lexicographic_table(m, n) is table
 
 
 class TestPrecedence:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from seblocks import simulate, twosample
+from seblocks import nulldist, simulate, twosample
 from seblocks.cli import _ALL_TESTS
 from seblocks.nulldist import CapacityError, enumerate_frequency_vectors
 from seblocks.partition import (
@@ -650,6 +650,11 @@ class TestBatchedUniformity:
         monkeypatch.setenv("SEBLOCKS_ENUM_CAP", "20")
         assert frequency_uniformity_check(3, 3, 2, "spiral", 10).n_possible == 20
 
+    def test_a_cap_past_the_int64_ranks_is_refused(self, monkeypatch):
+        monkeypatch.setenv("SEBLOCKS_ENUM_CAP", str(10**26))
+        with pytest.raises(ValueError, match=r"^SEBLOCKS_ENUM_CAP must be below 2\^63"):
+            frequency_uniformity_check(40, 40, 2, "spiral", 10)
+
     @pytest.mark.parametrize("label, p, match", [
         ("no_such_plan", 2, "unknown plan label"),
         ("univariate", 2, "univariate plan requires 1-dimensional data"),
@@ -662,7 +667,7 @@ class TestBatchedUniformity:
     @pytest.mark.parametrize("m, n", [(1, 1), (1, 7), (7, 1), (2, 5), (5, 5), (12, 1), (3, 9)])
     def test_the_rank_is_the_position_in_the_enumeration(self, m, n):
         vectors = enumerate_frequency_vectors(m, n).vectors
-        ranks = simulate._lexicographic_rank(m, n)(np.array(vectors))
+        ranks = nulldist._lexicographic_rank(np.array(vectors), m, n)
         assert ranks.dtype == np.int64
         assert ranks.tolist() == list(range(len(vectors)))
 

@@ -250,6 +250,18 @@ def test_policy_refuses_an_unknown_method(test):
     assert twosample.null_method(entry, 4, 3, params, "AUTO") == "exact"
 
 
+@pytest.mark.parametrize("method, canonical", [
+    ("EXACT", "exact"), ("Monte_Carlo", "monte_carlo"), ("Normal", "normal"),
+])
+def test_a_named_method_is_reported_by_its_canonical_name(method, canonical):
+    freqs = BlockFrequencies((1, 2, 0, 1), 4, 3)
+    entry, params = twosample.resolve_statistic("wilcoxon", 4, 3)
+    assert twosample.null_method(entry, 4, 3, params, method) == canonical
+    result = twosample.block_test("wilcoxon", freqs, method=method, n_draws=100)
+    assert result.method == canonical
+    assert result.to_json_dict()["method"] == canonical
+
+
 def _harness_method(test, m, n):
     """The harness's null method, from the one policy."""
     entry, params = twosample.resolve_statistic(test, m, n)
